@@ -4,7 +4,8 @@ Both treat a block with one static parameter and one sinusoidal drive.
 First-order perturbation theory gives the weak-transition amplitude and
 carries an artificial pole at the two-photon resonance; the
 rotating-wave approximation removes that pole and stays exactly
-unitary.
+unitary.  Every propagator takes a single time or an array of times
+and returns amplitudes shaped like it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from . import drive as drive_mod
 from .drive import Constant, DriveProfile, Sinusoid
@@ -76,12 +79,14 @@ class RwaSetup:
             raise ValueError("drive frequency must be positive")
 
 
-def perturb_x1(omega_plus: float, t: float) -> complex:
+def perturb_x1(omega_plus: float, t: float | np.ndarray) -> complex | np.ndarray:
     """Leading-order surviving amplitude: ``exp(-i*omega_plus*t)``."""
-    return cmath.exp(-1j * omega_plus * t)
+    return np.exp(-1j * omega_plus * np.asarray(t, dtype=float))
 
 
-def perturb_x2(omega_plus: float, drive: Sinusoid, t: float) -> complex:
+def perturb_x2(
+    omega_plus: float, drive: Sinusoid, t: float | np.ndarray
+) -> complex | np.ndarray:
     """First-order transition amplitude under a weak sinusoidal coupling.
 
     For ``coupling = mu*sin(beta*t)`` (zero phase) on a static field:
@@ -111,13 +116,14 @@ def perturb_x2(omega_plus: float, drive: Sinusoid, t: float) -> complex:
             "perturbative amplitude evaluated at its pole (drive frequency "
             "within 1e-12 of twice the field)"
         )
+    t = np.asarray(t, dtype=float)
     bracket = (
-        cmath.exp(1j * d_minus * t) / d_minus
-        + cmath.exp(-1j * d_plus * t) / d_plus
+        np.exp(1j * d_minus * t) / d_minus
+        + np.exp(-1j * d_plus * t) / d_plus
         - 1.0 / d_minus
         - 1.0 / d_plus
     )
-    return 0.5j * cmath.exp(1j * omega_plus * t) * mu * bracket
+    return 0.5j * np.exp(1j * omega_plus * t) * mu * bracket
 
 
 def perturb_validity(omega_plus: float, drive: Sinusoid) -> float:
@@ -145,8 +151,8 @@ def _dressed_pair(
     phi: float,
     c_init: float,
     s_init: float,
-    t: float,
-) -> tuple[complex, complex]:
+    t: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     # closed-form rotating-frame propagator applied to (c_init, s_init):
     # gamma = hypot(mu, detuning); the signed cos(2*theta) = detuning/gamma
     # solves the frame equation of motion for either detuning sign
@@ -156,9 +162,9 @@ def _dressed_pair(
     else:
         c2t = detuning / gamma
         s2t = mu / gamma
-    ch = math.cos(0.5 * gamma * t)
-    sh = math.sin(0.5 * gamma * t)
-    frame = cmath.exp(-0.5j * beta * t)
+    ch = np.cos(0.5 * gamma * t)
+    sh = np.sin(0.5 * gamma * t)
+    frame = np.exp(-0.5j * beta * t)
     u1 = frame * ((ch + 1j * sh * c2t) * c_init + s2t * sh * cmath.exp(-1j * phi) * s_init)
     u2 = frame.conjugate() * (
         -s2t * sh * cmath.exp(1j * phi) * c_init + (ch - 1j * sh * c2t) * s_init
@@ -166,12 +172,15 @@ def _dressed_pair(
     return u1, u2
 
 
-def _rwa_amplitudes(setup: RwaSetup, t: float, c0: float, s0: float) -> BlockAmplitudes:
+def _rwa_amplitudes(
+    setup: RwaSetup, t: float | np.ndarray, c0: float, s0: float
+) -> BlockAmplitudes:
     mu = setup.drive.amplitude
     beta = setup.drive.frequency
     phi = setup.drive.phase
     detuning = beta - 2.0 * setup.static_value
-    lam = cmath.exp(-0.25j * drive_mod.integral(setup.lambda_z, t))
+    t = np.asarray(t, dtype=float)
+    lam = np.exp(-0.25j * drive_mod.integral(setup.lambda_z, t))
     if setup.mode is RwaMode.LAMBDA_DRIVE:
         u1, u2 = _dressed_pair(detuning, mu, beta, phi, c0, s0, t)
         return BlockAmplitudes(lam * u1, lam * u2, Subspace.ONE, "x")
@@ -184,7 +193,7 @@ def _rwa_amplitudes(setup: RwaSetup, t: float, c0: float, s0: float) -> BlockAmp
     return BlockAmplitudes(x_plus + x_minus, x_plus - x_minus, Subspace.ONE, "x")
 
 
-def rwa_evolve(setup: RwaSetup, t: float) -> BlockAmplitudes:
+def rwa_evolve(setup: RwaSetup, t: float | np.ndarray) -> BlockAmplitudes:
     """Rotating-wave evolution of the first subspace-I eigenstate.
 
     Exactly unitary for all parameters; finite at the two-photon
@@ -195,12 +204,13 @@ def rwa_evolve(setup: RwaSetup, t: float) -> BlockAmplitudes:
     -------
     BlockAmplitudes
         Components on ``{|++>, |-->}`` starting from
-        ``(cos(theta10), sin(theta10))``.
+        ``(cos(theta10), sin(theta10))``, shaped like ``t`` (a float or
+        an array of times).
     """
     return _rwa_amplitudes(setup, t, math.cos(setup.theta10), math.sin(setup.theta10))
 
 
-def rwa_orthogonal(setup: RwaSetup, t: float) -> BlockAmplitudes:
+def rwa_orthogonal(setup: RwaSetup, t: float | np.ndarray) -> BlockAmplitudes:
     """Rotating-wave evolution of the orthogonal eigenstate.
 
     Applies the replacement ``cos(theta10) -> -sin(theta10)``,

@@ -19,17 +19,16 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
-import yaml
 
 from .approx import perturb_x1, perturb_x2, rwa_evolve, rwa_orthogonal
 from .config import (
@@ -43,9 +42,9 @@ from .config import (
     load_config,
     parse_config,
 )
-from .entangle import FourState, concurrence_pure
+from .entangle import concurrence_pure
 from .errors import AdmissibilityError, ConfigError, NormDriftError, SpinpairError
-from .exact import ic1_evolve, ic2_admissible, ic2_evolve
+from .exact import BlockAmplitudes, ic1_evolve, ic2_admissible, ic2_evolve
 from .model import Subspace, spectrum
 from .oracle import IntegratorConfig, integrate_full, suggest_step
 
@@ -119,18 +118,12 @@ class EvolutionTrace:
         """Write the trace; same trace, same bytes."""
         lines = [f"# {key}: {val}" for key, val in _flatten_echo(self.echo)]
         lines.append(",".join(CSV_COLUMNS))
-        for i in range(self.times.size):
-            f = self.amplitudes[i]
-            row = (
-                self.times[i],
-                f[0].real, f[0].imag,
-                f[1].real, f[1].imag,
-                f[2].real, f[2].imag,
-                f[3].real, f[3].imag,
-                self.norms[i],
-                self.concurrences[i],
-            )
-            lines.append(",".join("%.12e" % v for v in row))
+        fmt = ",".join(["%.12e"] * len(CSV_COLUMNS))
+        parts = np.stack((self.amplitudes.real, self.amplitudes.imag), axis=-1)
+        table = np.column_stack(
+            (self.times, parts.reshape(-1, 8), self.norms, self.concurrences)
+        )
+        lines.extend(fmt % tuple(row) for row in table.tolist())
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -186,63 +179,55 @@ def _finish(
     norms = np.sum(np.abs(amps) ** 2, axis=1)
     if norm_tol is not None:
         drift = float(np.max(np.abs(norms - 1.0)))
-        if drift > norm_tol:
+        # written so that a NaN drift fails too
+        if not drift <= norm_tol:
             raise NormDriftError(
                 f"trace norm drifted by {drift:.3e}, tolerance {norm_tol:.3e}"
             )
-    conc = np.empty(times.size)
-    for i in range(times.size):
-        f = amps[i] / math.sqrt(norms[i])
-        conc[i] = concurrence_pure(FourState.uncoupled(*f))
+    conc = concurrence_pure(amps / np.sqrt(norms)[:, None])
     return EvolutionTrace(times, amps, norms, conc, echo)
+
+
+def _superpose(
+    times: np.ndarray,
+    mixtures: tuple[complex, complex, complex, complex],
+    evolve: Callable[[str], BlockAmplitudes],
+) -> np.ndarray:
+    """Uncoupled amplitudes of the mixture of propagated canonical eigenstates.
+
+    ``evolve(initial)`` propagates one eigenstate over ``times``; a
+    block whose two mixture weights are zero is not propagated.
+    """
+    amps = np.zeros((times.size, 4), dtype=complex)
+    blocks = ((0, mixtures[:2], ("phi1", "phi2")), (2, mixtures[2:], ("phi3", "phi4")))
+    for col, (p, q), (first, second) in blocks:
+        if p != 0 or q != 0:
+            x, y = evolve(first), evolve(second)
+            amps[:, col] = p * x.a1 + q * y.a1
+            amps[:, col + 1] = p * x.a2 + q * y.a2
+    return amps
 
 
 def _trace_ic1(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
     setup, params, convention = build_ic1(cfg.data["ic1"])
     initial = _initial_uncoupled(cfg, setup.theta10, setup.theta20)
-    alpha, beta, gamma, delta = _eigen_mixtures(initial, setup.theta10, setup.theta20)
-    need_one = alpha != 0 or beta != 0
-    need_two = gamma != 0 or delta != 0
-    amps = np.zeros((times.size, 4), dtype=complex)
-    for i, t in enumerate(times):
-        tt = float(t)
-        if need_one:
-            x = ic1_evolve(setup, params, tt, "phi1", convention)
-            y = ic1_evolve(setup, params, tt, "phi2", convention)
-            amps[i, 0] = alpha * x.a1 + beta * y.a1
-            amps[i, 1] = alpha * x.a2 + beta * y.a2
-        if need_two:
-            z = ic1_evolve(setup, params, tt, "phi3", convention)
-            w = ic1_evolve(setup, params, tt, "phi4", convention)
-            amps[i, 2] = gamma * z.a1 + delta * w.a1
-            amps[i, 3] = gamma * z.a2 + delta * w.a2
+    mixtures = _eigen_mixtures(initial, setup.theta10, setup.theta20)
+    amps = _superpose(
+        times, mixtures, lambda phi: ic1_evolve(setup, params, times, phi, convention)
+    )
     return _finish(times, amps, copy.deepcopy(cfg.data), _ANALYTIC_NORM_TOL)
 
 
 def _trace_ic2(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
     setup = build_ic2(cfg.data["ic2"])
     initial = _initial_uncoupled(cfg, setup.theta10, setup.theta20)
-    alpha, beta, gamma, delta = _eigen_mixtures(initial, setup.theta10, setup.theta20)
-    need_one = alpha != 0 or beta != 0
-    need_two = gamma != 0 or delta != 0
-    for needed, subspace in ((need_one, Subspace.ONE), (need_two, Subspace.TWO)):
-        if needed:
+    mixtures = _eigen_mixtures(initial, setup.theta10, setup.theta20)
+    for pair, subspace in ((mixtures[:2], Subspace.ONE), (mixtures[2:], Subspace.TWO)):
+        if any(m != 0 for m in pair):
             verdict = ic2_admissible(setup, subspace)
             if not verdict.valid:
                 raise AdmissibilityError(verdict.reason)
-    amps = np.zeros((times.size, 4), dtype=complex)
-    for i, t in enumerate(times):
-        tt = float(t)
-        if need_one:
-            x = ic2_evolve(setup, tt, "phi1")
-            y = ic2_evolve(setup, tt, "phi2")
-            amps[i, 0] = alpha * x.a1 + beta * y.a1
-            amps[i, 1] = alpha * x.a2 + beta * y.a2
-        if need_two:
-            z = ic2_evolve(setup, tt, "phi3")
-            w = ic2_evolve(setup, tt, "phi4")
-            amps[i, 2] = gamma * z.a1 + delta * w.a1
-            amps[i, 3] = gamma * z.a2 + delta * w.a2
+    amps = _superpose(times, mixtures, lambda phi: ic2_evolve(setup, times, phi))
     return _finish(times, amps, copy.deepcopy(cfg.data), _ANALYTIC_NORM_TOL)
 
 
@@ -251,14 +236,9 @@ def _trace_rwa(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
     initial = _initial_uncoupled(cfg, setup.theta10, 0.0)
     if initial[2] != 0 or initial[3] != 0:
         raise ConfigError("rwa mode supports subspace-I initial states only")
-    alpha, beta, _g, _d = _eigen_mixtures(initial, setup.theta10, 0.0)
-    amps = np.zeros((times.size, 4), dtype=complex)
-    for i, t in enumerate(times):
-        tt = float(t)
-        x = rwa_evolve(setup, tt)
-        y = rwa_orthogonal(setup, tt)
-        amps[i, 0] = alpha * x.a1 + beta * y.a1
-        amps[i, 1] = alpha * x.a2 + beta * y.a2
+    mixtures = _eigen_mixtures(initial, setup.theta10, 0.0)
+    evolve = {"phi1": rwa_evolve, "phi2": rwa_orthogonal}
+    amps = _superpose(times, mixtures, lambda phi: evolve[phi](setup, times))
     return _finish(times, amps, copy.deepcopy(cfg.data), _ANALYTIC_NORM_TOL)
 
 
@@ -267,10 +247,8 @@ def _trace_perturbation(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
     if cfg.initial != "pp":
         raise ConfigError("perturbation mode requires initial_state: pp")
     amps = np.zeros((times.size, 4), dtype=complex)
-    for i, t in enumerate(times):
-        tt = float(t)
-        amps[i, 0] = perturb_x1(omega_plus, tt)
-        amps[i, 1] = perturb_x2(omega_plus, drive_profile, tt)
+    amps[:, 0] = perturb_x1(omega_plus, times)
+    amps[:, 1] = perturb_x2(omega_plus, drive_profile, times)
     # first-order amplitudes are not unitary; norm is reported, not checked
     return _finish(times, amps, copy.deepcopy(cfg.data), None)
 
@@ -372,27 +350,20 @@ def _sweep_point(
 def run_sweep(
     cfg: RunConfig,
     outdir: Path,
-    threads: int = 1,
     step_override: float | None = None,
 ) -> list[Path]:
-    """Execute each sweep point in a worker and write the summary.
+    """Execute each sweep point in turn and write the summary.
 
     Point traces land next to the summary as ``<name>_<value>.csv``;
-    the summary rows are sorted by swept value, so the output does not
-    depend on worker scheduling.
+    the summary rows are sorted by swept value.
     """
     if cfg.sweep is None:
         raise ConfigError("config has no sweep block; use 'simulate run'")
-    if threads < 1:
-        raise ConfigError("--threads must be at least 1")
     outdir.mkdir(parents=True, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(_sweep_point, cfg, value, step_override, outdir)
-            for value in cfg.sweep.values
-        ]
-        results = [f.result() for f in futures]
-    results.sort(key=lambda item: item[0])
+    results = sorted(
+        (_sweep_point(cfg, value, step_override, outdir) for value in cfg.sweep.values),
+        key=lambda item: item[0],
+    )
     lines = [f"# {key}: {val}" for key, val in _flatten_echo(cfg.data)]
     lines.append(",".join(SUMMARY_COLUMNS))
     for value, stats, _path in results:
@@ -420,8 +391,8 @@ def load_preset(preset_id: str) -> RunConfig:
         raise ConfigError(
             f"unknown preset {preset_id!r}; available: {', '.join(preset_ids())}"
         )
-    data = yaml.safe_load(entry.read_text(encoding="utf-8"))
-    return parse_config(data, preset_id)
+    with resources.as_file(entry) as path:
+        return load_config(path)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -429,14 +400,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         "--output", type=Path, default=Path("."), help="output directory (default: .)"
     )
     sub.add_argument(
-        "--threads", type=int, default=1, help="sweep worker count (default: 1)"
-    )
-    sub.add_argument(
         "--step", type=float, default=None, help="integrator step override (numeric mode)"
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged, and
+    # rebuilding it costs about 1 ms on every further main() call
     parser = argparse.ArgumentParser(
         prog="simulate",
         description="Two-qubit exchange-model simulator: traces, sweeps and presets.",
@@ -463,7 +434,7 @@ def _dispatch(args: argparse.Namespace) -> list[Path]:
         return [run_single(cfg, args.output, args.step)]
     if args.command == "sweep":
         cfg = load_config(args.config)
-        return run_sweep(cfg, args.output, args.threads, args.step)
+        return run_sweep(cfg, args.output, args.step)
     if args.list:
         for preset_id in preset_ids():
             print(preset_id)
@@ -475,7 +446,7 @@ def _dispatch(args: argparse.Namespace) -> list[Path]:
     for preset_id in ids:
         cfg = load_preset(preset_id)
         if cfg.sweep is not None:
-            written.extend(run_sweep(cfg, args.output, args.threads, args.step))
+            written.extend(run_sweep(cfg, args.output, args.step))
         else:
             written.append(run_single(cfg, args.output, args.step))
     return written

@@ -109,9 +109,14 @@ def _number(node: dict, key: str, where: str, default: Any = ...) -> float:
         if default is ...:
             raise ConfigError(f"missing key {key!r} in {where}")
         return default
-    v = node[key]
+    return _finite(node[key], f"{where}.{key}")
+
+
+def _finite(v: Any, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
+        raise ConfigError(f"{where} must be a number, got {v!r}")
+    if not math.isfinite(v):
+        raise ConfigError(f"{where} must be finite, got {v!r}")
     return float(v)
 
 
@@ -120,7 +125,7 @@ def parse_profile(node: Any, where: str) -> DriveProfile:
     if isinstance(node, bool):
         raise ConfigError(f"{where} must be a profile or number, got {node!r}")
     if isinstance(node, (int, float)):
-        return Constant(float(node))
+        return Constant(_finite(node, where))
     mapping = _require_mapping(node, where)
     kind = mapping.get("kind")
     if kind == "constant":
@@ -162,16 +167,10 @@ def _parse_initial(node: Any) -> Any:
     amps = []
     for i, item in enumerate(node):
         where = f"initial_state[{i}]"
-        if isinstance(item, bool):
+        parts = item if isinstance(item, list) and len(item) == 2 else [item, 0.0]
+        if any(isinstance(v, (bool, list)) for v in parts):
             raise ConfigError(f"{where} must be a number or [re, im] pair")
-        if isinstance(item, (int, float)):
-            amps.append(complex(float(item), 0.0))
-        elif isinstance(item, list) and len(item) == 2 and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in item
-        ):
-            amps.append(complex(float(item[0]), float(item[1])))
-        else:
-            raise ConfigError(f"{where} must be a number or [re, im] pair")
+        amps.append(complex(*(_finite(v, where) for v in parts)))
     norm = sum(abs(a) ** 2 for a in amps)
     if abs(norm - 1.0) > _STATE_NORM_TOL:
         raise ConfigError(f"explicit initial_state has norm {norm!r}, expected 1")
@@ -187,11 +186,7 @@ def _parse_sweep(node: Any) -> SweepSpec:
     values = mapping.get("values")
     if not isinstance(values, list) or not values:
         raise ConfigError("sweep.values must be a nonempty list of numbers")
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"sweep.values entries must be numbers, got {v!r}")
-        out.append(float(v))
+    out = [_finite(v, "sweep.values entries") for v in values]
     if len(set(out)) != len(out):
         raise ConfigError("sweep.values must be distinct")
     return SweepSpec(parameter, tuple(out))

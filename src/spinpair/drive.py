@@ -1,4 +1,4 @@
-"""Scalar drive profiles and their exact time integrals.
+"""Drive profiles and their exact time integrals.
 
 Every time-dependent coefficient in the model (exchange couplings and
 local fields) is one of three closed profile kinds: a constant, a pure
@@ -7,7 +7,8 @@ keeps every integral exact, which the analytic propagators rely on.
 
 Profiles are frozen dataclasses; sharing a profile between two
 parameter sets is safe because no profile can be mutated after
-construction.
+construction.  Values and integrals take a single time or an array of
+times.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
+
+import numpy as np
 
 from .errors import NonConvergenceError
 
@@ -69,41 +72,47 @@ class Scaled:
 DriveProfile = Union[Constant, Sinusoid, Scaled]
 
 
-def evaluate(profile: DriveProfile, t: float) -> float:
-    """Value of the profile at time t."""
+def evaluate(profile: DriveProfile, t: float | np.ndarray) -> float | np.ndarray:
+    """Value of the profile at time t.
+
+    ``t`` is a float or an array of times; the result has its shape.
+    """
+    t = np.asarray(t, dtype=float)
     match profile:
         case Constant(value=v):
-            return v
+            return np.full_like(t, v)[()]
         case Sinusoid(amplitude=a, frequency=b, phase=p):
-            return a * math.sin(b * t + p)
+            return a * np.sin(b * t + p)
         case Scaled(factor=k, base=base):
             return k * evaluate(base, t)
     raise TypeError(f"not a drive profile: {profile!r}")
 
 
-def integral(profile: DriveProfile, t: float) -> float:
-    """Exact integral of the profile over [0, t]."""
+def integral(profile: DriveProfile, t: float | np.ndarray) -> float | np.ndarray:
+    """Exact integral of the profile over [0, t]; ``t`` a float or an array."""
+    t = np.asarray(t, dtype=float)
     match profile:
         case Constant(value=v):
-            return v * t
+            return v * t[()]
         case Sinusoid(amplitude=a, frequency=b, phase=p):
-            return (a / b) * (math.cos(p) - math.cos(b * t + p))
+            return (a / b) * (math.cos(p) - np.cos(b * t + p))
         case Scaled(factor=k, base=base):
             return k * integral(base, t)
     raise TypeError(f"not a drive profile: {profile!r}")
 
 
-def _abs_sin_primitive(psi: float) -> float:
+def _abs_sin_primitive(psi: np.ndarray) -> np.ndarray:
     # integral of |sin| from 0 to psi; exact for any real psi
-    n = math.floor(psi / math.pi)
-    return 2.0 * n + 1.0 - math.cos(psi - n * math.pi)
+    n = np.floor(psi / math.pi)
+    return 2.0 * n + 1.0 - np.cos(psi - n * math.pi)
 
 
-def integral_abs(profile: DriveProfile, t: float) -> float:
-    """Exact integral of |profile| over [0, t], t >= 0."""
+def integral_abs(profile: DriveProfile, t: float | np.ndarray) -> float | np.ndarray:
+    """Exact integral of |profile| over [0, t], t >= 0; ``t`` a float or an array."""
+    t = np.asarray(t, dtype=float)
     match profile:
         case Constant(value=v):
-            return abs(v) * t
+            return abs(v) * t[()]
         case Sinusoid(amplitude=a, frequency=b, phase=p):
             return abs(a) * (_abs_sin_primitive(b * t + p) - _abs_sin_primitive(p)) / b
         case Scaled(factor=k, base=base):

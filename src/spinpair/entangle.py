@@ -96,19 +96,20 @@ def basis_convert(state: FourState, target: Basis) -> FourState:
     return FourState(target, (f0, f1, r * (f2 + f3), r * (f2 - f3)))
 
 
-def concurrence_pure(state: FourState) -> float:
+def concurrence_pure(state: FourState | np.ndarray) -> float | np.ndarray:
     """Concurrence of a normalized pure state, in [0, 1].
 
-    Uncoupled order: ``2|f_pp f_mm - f_pm f_mp|``; coupled order:
-    ``|2 f1 f2 - (f3^2 - f4^2)|``.  The two agree after
-    :func:`basis_convert`.
+    ``state`` is a :class:`FourState` in either basis order, or an array
+    of shape ``(..., 4)`` of normalized uncoupled amplitudes, one state
+    per row; the result is a float or an array of shape ``(...)``.
+    Uncoupled order: ``2|f_pp f_mm - f_pm f_mp|``; a coupled-order state
+    is first re-expressed with :func:`basis_convert`, which is the same
+    as ``|2 f1 f2 - (f3^2 - f4^2)|``.
     """
-    f0, f1, f2, f3 = state.amplitudes
-    if state.basis is Basis.UNCOUPLED:
-        c = 2.0 * abs(f0 * f1 - f2 * f3)
-    else:
-        c = abs(2.0 * f0 * f1 - (f2 * f2 - f3 * f3))
-    return min(c, 1.0)
+    if isinstance(state, FourState):
+        state = basis_convert(state, Basis.UNCOUPLED).as_array()
+    f = np.asarray(state, dtype=complex)
+    return np.minimum(2.0 * np.abs(f[..., 0] * f[..., 1] - f[..., 2] * f[..., 3]), 1.0)
 
 
 def spin_flip_matrix() -> np.ndarray:

@@ -19,11 +19,11 @@ for all times.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+
+import numpy as np
 
 from . import drive
 from ._kernels import _pykernels
@@ -56,7 +56,6 @@ _INITIALS = {
 }
 
 _PROPORTIONALITY_TOL = 1e-10
-_PROPORTIONALITY_SAMPLES = 1000
 _BRANCH_SLACK = 1e-12
 
 
@@ -81,8 +80,9 @@ class BlockAmplitudes:
 
     Attributes
     ----------
-    a1, a2 : complex
-        Components on the block's ordered basis pair.
+    a1, a2 : complex or ndarray
+        Components on the block's ordered basis pair, shaped like the
+        evolution time(s).
     subspace : Subspace
         Block the amplitudes live in.
     label : str
@@ -94,7 +94,7 @@ class BlockAmplitudes:
     subspace: Subspace
     label: str
 
-    def norm(self) -> float:
+    def norm(self) -> float | np.ndarray:
         """|a1|**2 + |a2|**2; exactly 1 up to rounding for all propagators here."""
         return abs(self.a1) ** 2 + abs(self.a2) ** 2
 
@@ -141,43 +141,62 @@ class IC1Setup:
         return math.tan(2.0 * self.theta20)
 
 
-def _horizon(t: float) -> float:
-    # power-of-two bucket >= |t| so the cached proportionality scan
-    # is reused across nearby evaluation times
-    return 2.0 ** math.ceil(math.log2(max(abs(t), 1.0)))
+# subspace -> (field, coupling) names of ModelParams.derived_two_term
+_BLOCK_DRIVES = {
+    Subspace.ONE: ("omega_plus", "lambda_m"),
+    Subspace.TWO: ("omega_minus", "lambda_p"),
+}
 
 
-@lru_cache(maxsize=256)
-def _proportionality_residual(
-    params: ModelParams, subspace: Subspace, cos2t: float, sin2t: float, horizon: float
-) -> float:
-    if subspace is Subspace.ONE:
-        fld, cpl = params.omega_plus, params.lambda_m
-    else:
-        fld, cpl = params.omega_minus, params.lambda_p
-    worst = 0.0
-    scale = 1.0
-    n = _PROPORTIONALITY_SAMPLES
-    for i in range(n):
-        ti = horizon * i / (n - 1)
-        f = fld(ti)
-        c = cpl(ti)
-        worst = max(worst, abs(c * cos2t - f * sin2t))
-        scale = max(scale, abs(f), abs(c))
-    return worst / scale
+def _block_combination(
+    params: ModelParams, subspace: Subspace, c_field: float, c_coupling: float
+) -> tuple[dict[float, tuple[float, float]], float]:
+    # c_field*field + c_coupling*coupling, exactly, as
+    # ({frequency > 0: (sin part, cos part)}, offset): each term
+    # a*sin(b*t + p) adds a*cos(p) to the sin(b*t) and a*sin(p) to the
+    # cos(b*t) coefficient of |b|, after (a, b, p) -> (-a, -b, -p) for b < 0
+    fname, cname = _BLOCK_DRIVES[subspace]
+    a1, b1, p1, a2, b2, p2, o1 = params.derived_two_term(fname)
+    a3, b3, p3, a4, b4, p4, o2 = params.derived_two_term(cname)
+    parts: dict[float, tuple[float, float]] = {}
+    offset = c_field * o1 + c_coupling * o2
+    for amp, freq, ph in (
+        (c_field * a1, b1, p1),
+        (c_field * a2, b2, p2),
+        (c_coupling * a3, b3, p3),
+        (c_coupling * a4, b4, p4),
+    ):
+        if amp == 0.0:
+            continue
+        if freq == 0.0:
+            offset += amp * math.sin(ph)
+            continue
+        if freq < 0.0:
+            amp, freq, ph = -amp, -freq, -ph
+        s, c = parts.get(freq, (0.0, 0.0))
+        parts[freq] = (s + amp * math.cos(ph), c + amp * math.sin(ph))
+    return parts, offset
 
 
-def _require_proportional(
-    setup: IC1Setup, params: ModelParams, subspace: Subspace, t: float
-) -> None:
+def _require_proportional(setup: IC1Setup, params: ModelParams, subspace: Subspace) -> None:
+    # cos(2*theta0)*coupling - sin(2*theta0)*field must vanish for all t;
+    # its sup is bounded by the summed term amplitudes plus the offset,
+    # scaled by the larger summed amplitude of the field and the coupling
     theta0 = setup.theta10 if subspace is Subspace.ONE else setup.theta20
-    resid = _proportionality_residual(
-        params, subspace, math.cos(2.0 * theta0), math.sin(2.0 * theta0), _horizon(t)
+    parts, offset = _block_combination(
+        params, subspace, -math.sin(2.0 * theta0), math.cos(2.0 * theta0)
     )
-    if resid > _PROPORTIONALITY_TOL:
+    resid = sum(math.hypot(s, c) for s, c in parts.values()) + abs(offset)
+
+    def bound(name: str) -> float:
+        a1, _b1, _p1, a2, _b2, _p2, off = params.derived_two_term(name)
+        return abs(a1) + abs(a2) + abs(off)
+
+    scale = max(1.0, *map(bound, _BLOCK_DRIVES[subspace]))
+    if not resid <= _PROPORTIONALITY_TOL * scale:
         raise NotIntegrableError(
             f"subspace {subspace.value} coupling is not proportional to its "
-            f"field (max scaled residual {resid:.3e})"
+            f"field (scaled residual {resid / scale:.3e})"
         )
 
 
@@ -185,71 +204,46 @@ def _splitting_integral(
     params: ModelParams,
     subspace: Subspace,
     theta0: float,
-    t: float,
+    t: np.ndarray,
     convention: PhaseConvention,
-) -> float:
+) -> np.ndarray:
     # signed splitting along the frozen eigenbasis:
     # g(t) = cos(2*theta0)*field + sin(2*theta0)*coupling
     c2 = math.cos(2.0 * theta0)
     s2 = math.sin(2.0 * theta0)
     if subspace is Subspace.ONE:
-        fname, cname = "omega_plus", "lambda_m"
         fval, cval = params.omega_plus, params.lambda_m
         fint = params.omega_plus_integral(t)
         cint = params.lambda_m_integral(t)
     else:
-        fname, cname = "omega_minus", "lambda_p"
         fval, cval = params.omega_minus, params.lambda_p
         fint = params.omega_minus_integral(t)
         cint = params.lambda_p_integral(t)
     if convention is PhaseConvention.SIGNED:
         return c2 * fint + s2 * cint
-    if t < 0.0:
+    if np.any(t < 0.0):
         raise ValueError("the nonnegative phase convention requires t >= 0")
-    prof = _single_combination(params, fname, cname, c2, s2)
-    if prof is not None:
-        return drive.integral_abs(prof, t)
-    return drive.quadrature(lambda u: abs(c2 * fval(u) + s2 * cval(u)), 0.0, t)
-
-
-def _single_combination(
-    params: ModelParams, fname: str, cname: str, c2: float, s2: float
-) -> DriveProfile | None:
-    # c2*field + s2*coupling as one closed profile, or None
-    a1, b1, p1, a2, b2, p2, o1 = params.derived_two_term(fname)
-    a3, b3, p3, a4, b4, p4, o2 = params.derived_two_term(cname)
-    terms: list[tuple[float, float, float]] = []
-    for amp, freq, ph in (
-        (c2 * a1, b1, p1),
-        (c2 * a2, b2, p2),
-        (s2 * a3, b3, p3),
-        (s2 * a4, b4, p4),
-    ):
-        if amp == 0.0:
-            continue
-        for i, (amp0, freq0, ph0) in enumerate(terms):
-            if (freq0, ph0) == (freq, ph):
-                terms[i] = (amp0 + amp, freq, ph)
-                break
-        else:
-            terms.append((amp, freq, ph))
-    terms = [term for term in terms if term[0] != 0.0]
-    offset = c2 * o1 + s2 * o2
-    if not terms:
-        return Constant(offset)
-    if len(terms) == 1 and offset == 0.0:
-        amp, freq, ph = terms[0]
-        return drive.Sinusoid(amp, freq, ph)
-    return None
+    parts, offset = _block_combination(params, subspace, c2, s2)
+    parts = {freq: sc for freq, sc in parts.items() if sc != (0.0, 0.0)}
+    if not parts:
+        return drive.integral_abs(Constant(offset), t)
+    if len(parts) == 1 and offset == 0.0:
+        ((freq, (s, c)),) = parts.items()
+        return drive.integral_abs(drive.Sinusoid(math.hypot(s, c), freq, math.atan2(c, s)), t)
+    # no closed form for |g|: adaptive quadrature per time
+    return np.vectorize(
+        lambda u: drive.quadrature(lambda v: abs(c2 * fval(v) + s2 * cval(v)), 0.0, u),
+        otypes=[float],
+    )(t)[()]
 
 
 def ic1_phase(
     setup: IC1Setup,
     params: ModelParams,
-    t: float,
+    t: float | np.ndarray,
     j: int,
     convention: PhaseConvention = PhaseConvention.SIGNED,
-) -> complex:
+) -> complex | np.ndarray:
     """Unit-modulus evolution phase of the j-th canonical eigenstate.
 
     Parameters
@@ -259,8 +253,8 @@ def ic1_phase(
     params : ModelParams
         Drive profiles; each block's coupling must be proportional to
         its field with the ratio implied by ``setup``.
-    t : float
-        Evolution time.
+    t : float or ndarray
+        Evolution time, or an array of times.
     j : int
         Eigenstate index, 1..4 (1, 2 in subspace I; 3, 4 in subspace II).
     convention : PhaseConvention, optional
@@ -269,20 +263,22 @@ def ic1_phase(
 
     Returns
     -------
-    complex
-        ``exp(-i * integral of the eigenvalue over [0, t])``.
+    complex or ndarray
+        ``exp(-i * integral of the eigenvalue over [0, t])``, shaped
+        like ``t``.
 
     Raises
     ------
     NotIntegrableError
-        If the proportionality fails anywhere on the sampled grid
-        covering ``[0, t]``.
+        If the block's coupling is not exactly proportional to its
+        field, decided from the drive coefficients for all times.
     """
     if j not in (1, 2, 3, 4):
         raise ValueError("eigenstate index must be 1, 2, 3 or 4")
     subspace = Subspace.ONE if j <= 2 else Subspace.TWO
-    _require_proportional(setup, params, subspace, t)
+    _require_proportional(setup, params, subspace)
     theta0 = setup.theta10 if subspace is Subspace.ONE else setup.theta20
+    t = np.asarray(t, dtype=float)
     lz = 0.25 * params.lambda_z_integral(t)
     split = _splitting_integral(params, subspace, theta0, t, convention)
     if j == 1:
@@ -293,13 +289,13 @@ def ic1_phase(
         phase = -lz + split
     else:
         phase = -lz - split
-    return cmath.exp(-1j * phase)
+    return np.exp(-1j * phase)
 
 
 def ic1_evolve(
     setup: IC1Setup,
     params: ModelParams,
-    t: float,
+    t: float | np.ndarray,
     initial: str,
     convention: PhaseConvention = PhaseConvention.SIGNED,
 ) -> BlockAmplitudes:
@@ -310,7 +306,8 @@ def ic1_evolve(
     mixing angle the components simply acquire the eigenphase:
     ``x(t) = (cos(theta10), sin(theta10)) * I1`` and
     ``y(t) = (-sin(theta10), cos(theta10)) * I2`` (analogous for
-    subspace II with ``theta20``, ``I3``, ``I4``).
+    subspace II with ``theta20``, ``I3``, ``I4``).  ``t`` is a float or
+    an array of times; the amplitudes are shaped like it.
 
     Raises
     ------
@@ -454,35 +451,34 @@ def ic2_admissible(setup: IC2Setup, subspace: Subspace = Subspace.ONE) -> Admiss
     return Admissibility(True)
 
 
-def ic2_theta(setup: IC2Setup, t: float, subspace: Subspace = Subspace.ONE) -> float:
+def ic2_theta(
+    setup: IC2Setup, t: float | np.ndarray, subspace: Subspace = Subspace.ONE
+) -> float | np.ndarray:
     """Mixing angle at time t on the principal branch ``2*theta in [0, pi]``.
 
     ``cos(2*theta(t)) = cos(2*theta0) - 2*rate*integral(coupling, [0, t])``.
+    ``t`` is a float or an array of times; the angle is shaped like it.
 
     Raises
     ------
     BranchExitError
-        If the cosine argument leaves ``[-1, 1]`` by more than 1e-12
-        (an admissible setup never does).
+        If the cosine argument leaves ``[-1, 1]`` by more than 1e-12 at
+        any of the times (an admissible setup never does).
     """
     rate, theta0, profile = _ic2_pair(setup, subspace)
+    t = np.asarray(t, dtype=float)
     c = math.cos(2.0 * theta0) - 2.0 * rate * drive.integral(profile, t)
-    if c > 1.0:
-        if c > 1.0 + _BRANCH_SLACK:
-            raise BranchExitError(
-                f"cos(2*theta) = {c!r} left the principal branch at t = {t!r}"
-            )
-        c = 1.0
-    elif c < -1.0:
-        if c < -1.0 - _BRANCH_SLACK:
-            raise BranchExitError(
-                f"cos(2*theta) = {c!r} left the principal branch at t = {t!r}"
-            )
-        c = -1.0
-    return 0.5 * math.acos(c)
+    exits = np.flatnonzero(np.abs(c) > 1.0 + _BRANCH_SLACK)
+    if exits.size:
+        i = exits[0]
+        raise BranchExitError(
+            f"cos(2*theta) = {np.ravel(c)[i]:.17g} left the principal branch "
+            f"at t = {t.flat[i]:.17g}"
+        )
+    return 0.5 * np.arccos(np.clip(c, -1.0, 1.0))
 
 
-def ic2_evolve(setup: IC2Setup, t: float, initial: str) -> BlockAmplitudes:
+def ic2_evolve(setup: IC2Setup, t: float | np.ndarray, initial: str) -> BlockAmplitudes:
     """Propagate one canonical eigenstate under rate-matched drive.
 
     With ``theta`` the angle from :func:`ic2_theta`,
@@ -499,7 +495,8 @@ def ic2_evolve(setup: IC2Setup, t: float, initial: str) -> BlockAmplitudes:
     ``y2 = L*(cos(theta)*(cos(delta) + i*rbar*sin(delta)/rate) + sin(theta)*rbar*sin(delta))``.
 
     Subspace II follows the same expressions with its own rate, angle
-    and coupling.  The pairs are exactly unitary and orthogonal.
+    and coupling.  The pairs are exactly unitary and orthogonal.  ``t``
+    is a float or an array of times; the amplitudes are shaped like it.
 
     Raises
     ------
@@ -520,9 +517,9 @@ def ic2_evolve(setup: IC2Setup, t: float, initial: str) -> BlockAmplitudes:
     rbar = 1.0 / stretch
     delta = (theta - theta0) * stretch
     lz = 0.25 * drive.integral(setup.lambda_z, t)
-    lam = cmath.exp(-1j * lz) if subspace is Subspace.ONE else cmath.exp(1j * lz)
-    cth, sth = math.cos(theta), math.sin(theta)
-    cd, sd = math.cos(delta), math.sin(delta)
+    lam = np.exp(-1j * lz) if subspace is Subspace.ONE else np.exp(1j * lz)
+    cth, sth = np.cos(theta), np.sin(theta)
+    cd, sd = np.cos(delta), np.sin(delta)
     inv = rbar / rate
     if label in ("x", "z"):
         a1 = lam * (cth * (cd - 1j * inv * sd) + sth * rbar * sd)

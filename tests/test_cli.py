@@ -16,8 +16,11 @@ from spinpair.cli import (
     run_sweep,
     trace_stats,
 )
-from spinpair.config import parse_config
-from spinpair.errors import AdmissibilityError, ConfigError
+from spinpair.approx import perturb_x1, perturb_x2, rwa_evolve, rwa_orthogonal
+from spinpair.config import build_ic1, build_ic2, build_perturbation, build_rwa, parse_config
+from spinpair.entangle import FourState, concurrence_pure
+from spinpair.errors import AdmissibilityError, ConfigError, NormDriftError
+from spinpair.exact import ic1_evolve, ic2_evolve
 
 SINUSOID = {"kind": "sinusoid", "amplitude": 2.0, "frequency": 50.0, "phase": math.pi / 50}
 
@@ -185,6 +188,101 @@ def test_inadmissible_rate_matched_run_is_refused():
         compute_trace(parse_config(data, "case"))
 
 
+# every closed-form mode on the whole grid against one scalar call per sample
+HALF = [0.5, [0.0, 0.5], -0.5, [0.5, 0.0]]
+RWA_INITIAL = [[0.6, 0.0], [0.0, 0.8], 0.0, 0.0]
+AGREEMENT_SECTIONS = {
+    "ic1_signed": (HALF, {
+        "k": 0.5, "k2": -0.7, "omega_plus": dict(SINUSOID), "lambda_z": 0.4,
+        "omega_minus": dict(SINUSOID, amplitude=1.0),
+    }),
+    "ic1_nonnegative": (HALF, {
+        "k": 0.5, "k2": -0.7, "omega_plus": dict(SINUSOID), "lambda_z": 0.4,
+        "omega_minus": dict(SINUSOID, amplitude=1.0), "phase_convention": "nonnegative",
+    }),
+    "ic2": (HALF, {
+        "kappa": 0.1, "theta10": math.pi / 4, "lambda_m": dict(SINUSOID, amplitude=4.0),
+        "chi": 0.2, "theta20": 0.3, "lambda_p": dict(SINUSOID, phase=0.0), "lambda_z": 0.4,
+    }),
+    "rwa_lambda_drive": (RWA_INITIAL, {
+        "mode": "lambda_drive", "static_value": 1.0, "theta10": 0.3, "lambda_z": 0.8,
+        "drive": {"kind": "sinusoid", "amplitude": 0.3, "frequency": 1.4, "phase": 0.4},
+    }),
+    "rwa_field_drive": (RWA_INITIAL, {
+        "mode": "field_drive", "static_value": 0.7, "theta10": 0.5, "lambda_z": -0.6,
+        "drive": {"kind": "sinusoid", "amplitude": 0.2, "frequency": 1.0, "phase": 0.2},
+    }),
+    "perturbation": ("pp", {
+        "omega_plus": 5.0, "drive": {"kind": "sinusoid", "amplitude": 0.25, "frequency": 10.5},
+    }),
+}
+
+
+def per_sample_reference(cfg):
+    """Amplitudes and concurrences from scalar calls, one sample at a time."""
+    times = np.linspace(0.0, cfg.t_end, cfg.samples)
+    section = cfg.data[cfg.mode]
+    amps = np.zeros((times.size, 4), dtype=complex)
+    if cfg.mode == "perturbation":
+        omega_plus, drive = build_perturbation(section)
+        for i, t in enumerate(times):
+            amps[i, 0] = perturb_x1(omega_plus, float(t))
+            amps[i, 1] = perturb_x2(omega_plus, drive, float(t))
+    else:
+        if cfg.mode == "ic1":
+            setup, params, convention = build_ic1(section)
+            angles = (setup.theta10, setup.theta20)
+            evolve = lambda t, phi: ic1_evolve(setup, params, t, phi, convention)
+        elif cfg.mode == "ic2":
+            setup = build_ic2(section)
+            angles = (setup.theta10, setup.theta20)
+            evolve = lambda t, phi: ic2_evolve(setup, t, phi)
+        else:
+            setup = build_rwa(section)
+            angles = (setup.theta10, 0.0)
+            rwa = {"phi1": rwa_evolve, "phi2": rwa_orthogonal}
+            evolve = lambda t, phi: rwa[phi](setup, t)
+        a, b, c, d = cfg.initial
+        (c1, s1), (c2, s2) = [(math.cos(x), math.sin(x)) for x in angles]
+        weights = {
+            "phi1": (0, a * c1 + b * s1),
+            "phi2": (0, -a * s1 + b * c1),
+            "phi3": (2, c * c2 + d * s2),
+            "phi4": (2, -c * s2 + d * c2),
+        }
+        for i, t in enumerate(times):
+            for phi, (col, w) in weights.items():
+                if w != 0:
+                    out = evolve(float(t), phi)
+                    amps[i, col] += w * out.a1
+                    amps[i, col + 1] += w * out.a2
+    conc = [
+        concurrence_pure(FourState.uncoupled(*(row / math.sqrt(np.sum(np.abs(row) ** 2)))))
+        for row in amps
+    ]
+    return amps, np.array(conc)
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT_SECTIONS))
+def test_trace_matches_per_sample_scalar_calls(case):
+    initial, section = AGREEMENT_SECTIONS[case]
+    mode = case.split("_")[0]
+    data = {
+        "mode": mode,
+        "initial_state": initial,
+        "time": {"t_end": 2.0, "samples": 201},
+        mode: section,
+    }
+    cfg = parse_config(data, case)
+    trace = compute_trace(cfg)
+    amps, conc = per_sample_reference(cfg)
+    assert np.max(np.abs(trace.amplitudes - amps)) <= 1e-12
+    assert np.max(np.abs(trace.concurrences - conc)) <= 1e-12
+    if mode in ("ic1", "ic2"):
+        # both blocks are populated, so both are propagated
+        assert np.all(np.abs(trace.amplitudes[1:, 2:]) > 0.0)
+
+
 # --- statistics -----------------------------------------------------------------
 
 def test_dominant_frequency_recovers_sinusoid_rate():
@@ -230,13 +328,13 @@ def test_run_is_byte_deterministic(tmp_path):
 def test_sweep_outputs_and_thread_invariance(tmp_path, trace_reader):
     cfg = load_preset("fig2")
     serial = tmp_path / "serial"
-    threaded = tmp_path / "threaded"
-    paths = run_sweep(cfg, serial, threads=1)
-    run_sweep(cfg, threaded, threads=3)
+    again = tmp_path / "again"
+    paths = run_sweep(cfg, serial)
+    run_sweep(cfg, again)
     names = sorted(p.name for p in paths)
     assert names == ["fig2_10.csv", "fig2_2.csv", "fig2_6.csv", "fig2_summary.csv"]
     for name in names:
-        assert (serial / name).read_bytes() == (threaded / name).read_bytes()
+        assert (serial / name).read_bytes() == (again / name).read_bytes()
     summary = trace_reader(serial / "fig2_summary.csv")
     assert list(summary) == list(SUMMARY_COLUMNS)
     assert np.array_equal(summary["value"], [2.0, 6.0, 10.0])
@@ -272,6 +370,35 @@ def test_main_run_and_errors(tmp_path, capsys):
 
     assert main(["run", str(path), "--step", "0.001"]) == 2
     assert "numeric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,replace", [
+    ("run", ("t_end: 2.0", "t_end: .nan")),
+    ("run", ("t_end: 2.0", "t_end: .inf")),
+    ("run", ("k: 0.5", "k: .nan")),
+    ("sweep", ("- 1.0", "- .nan")),
+])
+def test_main_rejects_non_finite_yaml(tmp_path, capsys, command, replace):
+    data = ic1_data()
+    if command == "sweep":
+        data["sweep"] = {"parameter": "ic1.k", "values": [0.5, 1.0]}
+    text = yaml.safe_dump(data)
+    assert replace[0] in text
+    path = tmp_path / "case.yaml"
+    path.write_text(text.replace(replace[0], replace[1]), encoding="utf-8")
+    assert main([command, str(path), "--output", str(tmp_path)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_overflowing_drive_fails_the_norm_check():
+    # finite inputs whose integral overflows give NaN amplitudes, which
+    # must fail the norm check rather than reach the CSV
+    huge = {"kind": "sinusoid", "amplitude": 1e300, "frequency": 1e-300}
+    cfg = parse_config(ic1_data(ic1={"k": 0.5, "omega_plus": huge}), "case")
+    with pytest.raises(NormDriftError, match="nan"):
+        compute_trace(cfg)
 
 
 def test_main_sweep_writes_summary(tmp_path, capsys):

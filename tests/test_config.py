@@ -91,12 +91,19 @@ def test_parse_config_explicit_amplitudes():
     {"initial_state": [1.0, 0.0, 0.0]},
     {"initial_state": [0.9, 0.0, 0.0, 0.0]},
     {"initial_state": [True, 0.0, 0.0, 0.0]},
+    {"initial_state": [[math.nan, 0.0], 0.0, 0.0, 0.0]},
     {"time": {"t_end": 0.0, "samples": 11}},
+    {"time": {"t_end": math.nan, "samples": 11}},
+    {"time": {"t_end": math.inf, "samples": 11}},
     {"time": {"t_end": 1.0, "samples": 1}},
     {"time": {"t_end": 1.0, "samples": 10.5}},
     {"time": {"t_end": 1.0, "samples": 11, "dt": 0.1}},
     {"name": ""},
     {"ic1": {"k": 0.5}},
+    {"ic1": {"k": math.nan, "omega_plus": dict(SINUSOID_NODE)}},
+    {"ic1": {"k": -math.inf, "omega_plus": dict(SINUSOID_NODE)}},
+    {"ic1": {"k": 0.5, "omega_plus": dict(SINUSOID_NODE, phase=math.nan)}},
+    {"ic1": {"k": 0.5, "omega_plus": dict(SINUSOID_NODE), "lambda_z": math.inf}},
     {"ic1": {"k": 0.5, "omega_plus": dict(SINUSOID_NODE), "mu": 1.0}},
 ])
 def test_parse_config_rejects(mutate):
@@ -135,6 +142,8 @@ def test_sweep_parsing_and_application():
     {"parameter": "ic1.omega_plus.amplitude", "values": []},
     {"parameter": "ic1.omega_plus.amplitude", "values": [1, 1]},
     {"parameter": "ic1.omega_plus.amplitude", "values": ["a"]},
+    {"parameter": "ic1.omega_plus.amplitude", "values": [1, math.nan]},
+    {"parameter": "ic1.omega_plus.amplitude", "values": [math.inf]},
     {"parameter": "", "values": [1]},
     {"parameter": "ic1.missing", "values": [1]},
     {"parameter": "ic1.omega_plus", "values": [1]},

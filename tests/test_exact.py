@@ -115,6 +115,28 @@ def test_ic1_not_proportional_raises():
         ic1_phase(setup, params, 1.0, 1)
 
 
+def test_ic1_proportionality_is_decided_for_all_times():
+    # the extra lambda_y term vanishes on every point of a uniform
+    # 1000-sample grid over [0, 1024], yet makes the drive non-proportional
+    setup = IC1Setup.from_ratios(0.5)
+    params = ModelParams(
+        lambda_x=Sinusoid(2.0, 3.0),
+        lambda_y=Sinusoid(-4.0, 999.0 * math.pi / 1024.0),
+        lambda_z=Constant(0.0),
+        omega_1=Sinusoid(1.0, 3.0),
+        omega_2=Sinusoid(1.0, 3.0),
+    )
+    with pytest.raises(NotIntegrableError, match="5.963e-01"):
+        ic1_evolve(setup, params, 1000.0, "phi1")
+    # a coupling written as (-a, -b, -p) is the same term as (a, b, p)
+    mirrored = ModelParams.from_derived(
+        omega_plus=WP, lambda_m=Sinusoid(-1.0, -50.0, -math.pi / 50)
+    )
+    direct = ModelParams.from_derived(omega_plus=WP, lambda_m=Scaled(0.5, WP))
+    t = np.linspace(0.0, 2.0, 9)
+    assert np.max(np.abs(ic1_phase(setup, mirrored, t, 1) - ic1_phase(setup, direct, t, 1))) < 1e-12
+
+
 def test_ic1_conventions_agree_until_field_changes_sign():
     setup = IC1Setup.from_ratios(0.5)
     params = proportional_params(0.5)

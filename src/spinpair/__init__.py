@@ -99,7 +99,6 @@ from .oracle import (
     integrate_block_fn,
     integrate_block_ic2,
     integrate_full,
-    kernel_backend,
     suggest_step,
 )
 from .symmetry import (
@@ -193,7 +192,6 @@ __all__ = [
     "integrate_full",
     "integrate_block_fn",
     "integrate_block_ic2",
-    "kernel_backend",
     # configuration
     "RunConfig",
     "SweepSpec",

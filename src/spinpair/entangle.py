@@ -2,10 +2,10 @@
 
 The general mixed-state route follows the spin-flip construction
 ``R = rho (sy x sy) rho* (sy x sy)`` evaluated through its Hermitian
-equivalent ``sqrt(rho) rho~ sqrt(rho)`` with a compact Jacobi
-eigensolver.  Pure states get the direct quadratic formulas in either
-basis order, and the propagated amplitude pairs of the closed-form
-regimes get their fully reduced concurrence expressions.
+equivalent ``sqrt(rho) rho~ sqrt(rho)`` with ``numpy.linalg.eigh``.
+Pure states get the direct quadratic formulas in either basis order,
+and the propagated amplitude pairs of the closed-form regimes get their
+fully reduced concurrence expressions.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import _kernels
 from .errors import InvalidDensityMatrixError
 from .exact import BlockAmplitudes, IC2Setup, ic2_theta
 from .model import Subspace, basis_change_matrix
@@ -129,9 +128,9 @@ def spin_flip_matrix() -> np.ndarray:
 class DensityMatrix:
     """4x4 density matrix in a declared basis order.
 
-    Must be Hermitian, unit trace within 1e-12, and positive
+    Must be finite, Hermitian, unit trace within 1e-12, and positive
     semidefinite within -1e-10 on the eigenvalues;
-    :meth:`validate` enforces all three.
+    :meth:`validate` enforces all four.
     """
 
     matrix: np.ndarray
@@ -151,22 +150,18 @@ class DensityMatrix:
     def validate(self) -> None:
         """Raise :class:`InvalidDensityMatrixError` on any broken invariant."""
         m = self.matrix
+        if not np.all(np.isfinite(m)):
+            raise InvalidDensityMatrixError("matrix has non-finite entries")
         if np.max(np.abs(m - m.conj().T)) > _HERMITICITY_TOL:
             raise InvalidDensityMatrixError("matrix is not Hermitian within 1e-12")
         tr = np.trace(m).real
         if abs(tr - 1.0) > _TRACE_TOL or abs(np.trace(m).imag) > _TRACE_TOL:
             raise InvalidDensityMatrixError(f"trace {np.trace(m)!r} is not 1 within 1e-12")
-        evals, _ = _jacobi_eigh(0.5 * (m + m.conj().T))
+        evals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
         if evals[0] < _PSD_TOL:
             raise InvalidDensityMatrixError(
                 f"matrix has an eigenvalue {evals[0]!r} below {_PSD_TOL}"
             )
-
-
-def _jacobi_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # ascending eigenvalues and the matching eigenvector columns
-    evals, evecs = _kernels.jacobi_eigh4(tuple(m.ravel()))
-    return np.asarray(evals, dtype=float), np.asarray(evecs, dtype=complex).reshape(4, 4)
 
 
 def concurrence_wootters(rho: DensityMatrix) -> float:
@@ -180,7 +175,8 @@ def concurrence_wootters(rho: DensityMatrix) -> float:
     Raises
     ------
     InvalidDensityMatrixError
-        If ``rho`` fails Hermiticity, trace or positivity checks.
+        If ``rho`` has non-finite entries or fails Hermiticity, trace or
+        positivity checks.
     """
     rho.validate()
     m = rho.matrix
@@ -188,13 +184,13 @@ def concurrence_wootters(rho: DensityMatrix) -> float:
         b = basis_change_matrix()
         m = b @ m @ b
     m = 0.5 * (m + m.conj().T)
-    evals, vecs = _jacobi_eigh(m)
-    root = vecs @ np.diag([math.sqrt(max(ev, 0.0)) for ev in evals]) @ vecs.conj().T
+    evals, vecs = np.linalg.eigh(m)
+    root = (vecs * np.sqrt(np.maximum(evals, 0.0))) @ vecs.conj().T
     y = spin_flip_matrix()
     flipped = y @ m.conj() @ y
     core = root @ flipped @ root
     core = 0.5 * (core + core.conj().T)
-    evals2, _ = _jacobi_eigh(core)
+    evals2 = np.linalg.eigvalsh(core)
     # rank floor: eigenvalues within roundoff of zero would otherwise
     # contribute sqrt(noise) ~ 1e-8 for (nearly) pure inputs
     floor = 1e-13 * max(max(evals2), 0.0)

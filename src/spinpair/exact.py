@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from . import drive
-from ._kernels import _pykernels
+from ._kernels import _ic2_field
 from .drive import Constant, DriveProfile
 from .errors import ConfigError, BranchExitError, NotIntegrableError
 from .model import ModelParams, Subspace
@@ -124,8 +124,10 @@ class IC1Setup:
     theta20: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.k, self.theta10, self.theta20)):
+            raise ValueError("k, theta10 and theta20 must be finite")
         resid = abs(math.tan(2.0 * self.theta10) - self.k)
-        if resid > 1e-12 * max(1.0, abs(self.k)):
+        if not resid <= 1e-12 * max(1.0, abs(self.k)):
             raise ValueError(
                 "theta10 inconsistent with k: tan(2*theta10) must equal k"
             )
@@ -553,15 +555,8 @@ def ic2_derived_field(
         raise ConfigError("derived field requires a pure sinusoidal coupling")
     mu, beta, phi = sinus
     c0 = math.cos(2.0 * theta0)
-    try:
-        # scalar helper; the compiled twin computes the identical value
-        # inside its integration loop
-        return _pykernels._ic2_field(mu, beta, phi, rate, c0, 1.0 - c0, t)
-    except ValueError:
-        raise BranchExitError(
-            f"angle touches the branch edge at t = {t!r}; "
-            "the derived field is one-sided there"
-        ) from None
+    # the same scalar helper the rate-matched RK4 kernel steps with
+    return _ic2_field(mu, beta, phi, rate, c0, 1.0 - c0, t)
 
 
 def ic2_breakpoints(

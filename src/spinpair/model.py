@@ -157,7 +157,7 @@ class ModelParams:
     def derived_two_term(self, name: str) -> tuple[float, ...]:
         """Derived profile as (a1, b1, p1, a2, b2, p2, offset) coefficients.
 
-        Exact for every parameter set; used to hand compiled kernels a
+        Exact for every parameter set; used to hand the RK4 kernels a
         closed description of the drive.
         """
         pair = {

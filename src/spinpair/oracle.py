@@ -32,15 +32,9 @@ __all__ = [
     "integrate_full",
     "integrate_block_fn",
     "integrate_block_ic2",
-    "kernel_backend",
 ]
 
 _METHODS = ("rk4_fixed", "rk4_doubling")
-
-
-def kernel_backend() -> str:
-    """Name of the kernel implementation in use ("cython" or "python")."""
-    return _kernels.BACKEND
 
 
 @dataclass(frozen=True)
@@ -200,20 +194,19 @@ def integrate_full(
 ) -> FullTrace:
     """RK4 propagation of the full 4-amplitude state (uncoupled order).
 
-    The Hamiltonian is block diagonal, so amplitudes starting at exactly
-    zero in one block stay exactly zero: no numerical leakage.
+    The Hamiltonian is block diagonal, so each step advances the two
+    blocks separately (the amplitudes equal :func:`integrate_block` on
+    each subspace) and amplitudes starting at exactly zero in one block
+    stay exactly zero: no numerical leakage.  Norm drift and the
+    doubling estimate are taken over all four amplitudes.
     """
-    coeffs = (
-        params.derived_two_term("omega_plus")
-        + params.derived_two_term("omega_minus")
-        + params.derived_two_term("lambda_m")
-        + params.derived_two_term("lambda_p")
-        + params.derived_two_term("lambda_z")
-    )
+    one = _block_coeffs(params, Subspace.ONE)
+    two = _block_coeffs(params, Subspace.TWO)
     events, is_sample = _event_grid(t_end, sample_times, ())
 
     def step(y, a, b, n):
-        return _kernels.rk4_full_profiles(coeffs, y[0], y[1], y[2], y[3], a, b, n)
+        upper = _kernels.rk4_block_profiles(one, y[0], y[1], a, b, n)
+        return upper + _kernels.rk4_block_profiles(two, y[2], y[3], a, b, n)
 
     out, drift, est = _march(step, tuple(initial), events, is_sample, cfg)
     return FullTrace(events[is_sample], out, drift, est)
@@ -231,8 +224,9 @@ def integrate_block_fn(
 
     ``hfun(t)`` must return a 2x2 indexable.  ``breakpoints`` marks times
     where the Hamiltonian is discontinuous; integration never steps
-    across them, and stage times are nudged 1e-9 inside each segment so
-    ``hfun`` is only asked for one-sided limits at its discontinuities.
+    across them, and stage times are nudged 1e-9 inside each segment
+    (see :func:`spinpair._kernels.rk4_clamped`) so ``hfun`` is only
+    asked for one-sided limits at its discontinuities.
     """
     events, is_sample = _event_grid(t_end, sample_times, breakpoints)
 
@@ -245,21 +239,7 @@ def integrate_block_fn(
         return -1j * (h00 * y1 + h01 * y2), -1j * (h10 * y1 + h11 * y2)
 
     def step(y, a, b, n):
-        y1, y2 = y
-        h = (b - a) / n
-        lo, hi = a + 1e-9, b - 1e-9
-        if hi < lo:
-            lo = hi = 0.5 * (a + b)
-        for i in range(n):
-            t = a + i * h
-            k1a, k1b = deriv(min(max(t, lo), hi), y1, y2)
-            hh = 0.5 * h
-            k2a, k2b = deriv(min(max(t + hh, lo), hi), y1 + hh * k1a, y2 + hh * k1b)
-            k3a, k3b = deriv(min(max(t + hh, lo), hi), y1 + hh * k2a, y2 + hh * k2b)
-            k4a, k4b = deriv(min(max(t + h, lo), hi), y1 + h * k3a, y2 + h * k3b)
-            y1 = y1 + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-            y2 = y2 + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        return y1, y2
+        return _kernels.rk4_clamped(deriv, y[0], y[1], a, b, n)
 
     out, drift, est = _march(step, tuple(initial), events, is_sample, cfg)
     return BlockTrace(events[is_sample], out, drift, est)
@@ -278,6 +258,12 @@ def integrate_block_ic2(
     ``coeffs`` comes from :func:`spinpair.exact.ic2_kernel_coeffs`;
     ``breakpoints`` from :func:`spinpair.exact.ic2_breakpoints` (the
     derived field jumps there, so segments must not straddle them).
+
+    Raises
+    ------
+    BranchExitError
+        If the angle reaches the branch edge inside a segment (an
+        inadmissible setup).
     """
     coeffs = tuple(float(v) for v in coeffs)
     events, is_sample = _event_grid(t_end, sample_times, breakpoints)

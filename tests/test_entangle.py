@@ -112,6 +112,14 @@ def test_density_matrix_validation():
         DensityMatrix(negative).validate()
 
 
+def test_wootters_rejects_non_finite_matrices():
+    one_nan = np.eye(4, dtype=complex) / 4.0
+    one_nan[2, 2] = np.nan
+    for m in (np.full((4, 4), np.nan), one_nan):
+        with pytest.raises(InvalidDensityMatrixError, match="non-finite"):
+            concurrence_wootters(DensityMatrix(m))
+
+
 def test_wootters_equals_pure_formula(rng):
     for _ in range(50):
         state = random_pure(rng)

@@ -161,6 +161,11 @@ def test_ic1_nonnegative_rejects_negative_time():
 def test_ic1_setup_validation():
     with pytest.raises(ValueError):
         IC1Setup(k=0.5, theta10=0.3)
+    for k, k2 in [(math.inf, 0.0), (-math.inf, 0.0), (math.nan, 0.0), (0.5, math.nan)]:
+        with pytest.raises(ValueError):
+            IC1Setup.from_ratios(k, k2)
+    with pytest.raises(ValueError):
+        IC1Setup(k=0.5, theta10=0.5 * math.atan(0.5), theta20=math.inf)
     setup = IC1Setup.from_ratios(2.0, 0.7)
     assert setup.k == 2.0
     assert setup.k2 == pytest.approx(0.7, abs=1e-14)

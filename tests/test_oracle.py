@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spinpair.drive import Constant, Sinusoid
-from spinpair.errors import NormDriftError
+from spinpair.errors import BranchExitError, NormDriftError
+from spinpair.exact import IC2Setup, ic2_breakpoints, ic2_kernel_coeffs
 from spinpair.model import ModelParams, Subspace
 from spinpair.oracle import (
     IntegratorConfig,
@@ -12,15 +13,8 @@ from spinpair.oracle import (
     integrate_block_fn,
     integrate_block_ic2,
     integrate_full,
-    kernel_backend,
     suggest_step,
 )
-from spinpair._kernels import _pykernels
-
-try:
-    from spinpair._kernels import _cykernels
-except ImportError:
-    _cykernels = None
 
 STATIC = ModelParams(
     lambda_x=Constant(1.3),
@@ -41,62 +35,6 @@ def expm_herm(h, t):
     """exp(-i h t) for Hermitian h via eigendecomposition."""
     w, v = np.linalg.eigh(h)
     return v @ np.diag(np.exp(-1j * w * t)) @ v.conj().T
-
-
-# --- kernel backend agreement -------------------------------------------
-
-BLOCK_COEFFS = (2.0, 50.0, 0.1, 0.0, 0.0, 0.0, 0.3) * 2 + (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.9)
-FULL_COEFFS = BLOCK_COEFFS + (1.0, 30.0, 0.0, 0.0, 0.0, 0.0, 0.0) * 2
-IC2_COEFFS = (4.0, 50.0, math.pi / 50, 0.1, 0.0, 1.0) + (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.4)
-
-
-@pytest.mark.skipif(_cykernels is None, reason="compiled kernels not built")
-def test_backends_agree_block():
-    py = _pykernels.rk4_block_profiles(BLOCK_COEFFS, 0.6 + 0.1j, 0.8j, 0.0, 1.7, 400)
-    cy = _cykernels.rk4_block_profiles(BLOCK_COEFFS, 0.6 + 0.1j, 0.8j, 0.0, 1.7, 400)
-    assert abs(py[0] - cy[0]) < 5e-14
-    assert abs(py[1] - cy[1]) < 5e-14
-
-
-@pytest.mark.skipif(_cykernels is None, reason="compiled kernels not built")
-def test_backends_agree_full():
-    init = (0.5, 0.5j, 0.5, -0.5)
-    py = _pykernels.rk4_full_profiles(FULL_COEFFS, *init, 0.0, 1.7, 400)
-    cy = _cykernels.rk4_full_profiles(FULL_COEFFS, *init, 0.0, 1.7, 400)
-    for a, b in zip(py, cy):
-        assert abs(a - b) < 5e-14
-
-
-@pytest.mark.skipif(_cykernels is None, reason="compiled kernels not built")
-def test_backends_agree_ic2():
-    py = _pykernels.rk4_block_ic2(IC2_COEFFS, 1.0 + 0.0j, 0.0j, 0.0, 0.9, 400)
-    cy = _cykernels.rk4_block_ic2(IC2_COEFFS, 1.0 + 0.0j, 0.0j, 0.0, 0.9, 400)
-    assert abs(py[0] - cy[0]) < 5e-14
-    assert abs(py[1] - cy[1]) < 5e-14
-
-
-@pytest.mark.skipif(_cykernels is None, reason="compiled kernels not built")
-def test_backends_agree_jacobi(rng):
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    m = m + m.conj().T
-    py_w, py_v = _pykernels.jacobi_eigh4(tuple(m.ravel()))
-    cy_w, cy_v = _cykernels.jacobi_eigh4(tuple(m.ravel()))
-    assert np.allclose(py_w, cy_w, atol=5e-14)
-    assert np.allclose(py_v, cy_v, atol=5e-14)
-
-
-def test_kernel_backend_name():
-    assert kernel_backend() in ("cython", "python")
-
-
-def test_jacobi_matches_numpy(rng):
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    m = m + m.conj().T
-    evals, evecs = _pykernels.jacobi_eigh4(tuple(m.ravel()))
-    v = np.array(evecs).reshape(4, 4)
-    assert np.allclose(evals, np.linalg.eigvalsh(m), atol=1e-12)
-    for j in range(4):
-        assert np.allclose(m @ v[:, j], evals[j] * v[:, j], atol=1e-12)
 
 
 # --- integrators ----------------------------------------------------------
@@ -140,6 +78,26 @@ def test_block_diagonality_gives_exact_zero_leakage():
     assert trace.amplitudes[-1, 2] == 0.0
     assert trace.amplitudes[-1, 3] == 0.0
     assert abs(trace.amplitudes[-1, 0]) > 0.0
+
+
+@pytest.mark.parametrize("method", ["rk4_fixed", "rk4_doubling"])
+def test_integrate_full_is_the_two_blocks(method):
+    params = ModelParams(
+        lambda_x=Sinusoid(1.3, 50.0, 0.1),
+        lambda_y=Sinusoid(-0.4, 7.0, 0.2),
+        lambda_z=Sinusoid(0.5, 7.0, 0.1),
+        omega_1=Sinusoid(2.0, 13.0, 0.3),
+        omega_2=Constant(-0.7),
+    )
+    initial = [0.5, 0.5j, 0.5, -0.5]
+    times = np.linspace(0.0, 1.7, 23)
+    cfg = IntegratorConfig(step=2e-3, method=method)
+    full = integrate_full(params, initial, 1.7, cfg, sample_times=times)
+    one = integrate_block(params, Subspace.ONE, initial[:2], 1.7, cfg, sample_times=times)
+    two = integrate_block(params, Subspace.TWO, initial[2:], 1.7, cfg, sample_times=times)
+    assert np.all(full.amplitudes[:, :2] == one.amplitudes)
+    assert np.all(full.amplitudes[:, 2:] == two.amplitudes)
+    assert np.all(full.amplitudes[-1] != initial)
 
 
 def test_norm_drift_error_with_coarse_step():
@@ -212,16 +170,25 @@ def test_integrate_block_fn_piecewise_with_breakpoints():
 
 
 def test_integrate_block_ic2_runs_and_conserves_norm():
-    from spinpair.drive import Sinusoid as S
-    from spinpair.exact import IC2Setup, ic2_breakpoints, ic2_kernel_coeffs
-    from spinpair.model import Subspace as Sub
-
-    setup = IC2Setup(kappa=0.1, theta10=math.pi / 4, lambda_m=S(4.0, 50.0, math.pi / 50))
-    coeffs = ic2_kernel_coeffs(setup, Sub.ONE)
-    marks = ic2_breakpoints(setup, 1.0, Sub.ONE)
+    setup = IC2Setup(kappa=0.1, theta10=math.pi / 4, lambda_m=Sinusoid(4.0, 50.0, math.pi / 50))
+    coeffs = ic2_kernel_coeffs(setup, Subspace.ONE)
+    marks = ic2_breakpoints(setup, 1.0, Subspace.ONE)
     cfg = IntegratorConfig(step=2e-4, norm_tolerance=1e-8)
     trace = integrate_block_ic2(
         coeffs, [1.0, 0.0], 1.0, cfg, sample_times=[0.0, 0.5, 1.0], breakpoints=marks
     )
     assert trace.norm_drift < 1e-9
     assert trace.amplitudes.shape == (3, 2)
+
+
+@pytest.mark.parametrize("theta10", [0.0, 0.3])
+def test_integrate_block_ic2_branch_exit_is_typed(theta10):
+    # 4*kappa*mu/beta = 3: the angle leaves the principal branch inside
+    # the first segment
+    setup = IC2Setup(
+        kappa=0.3, theta10=theta10, lambda_m=Sinusoid(50.0, 20.0, 0.0), lambda_z=Constant(0.2)
+    )
+    coeffs = ic2_kernel_coeffs(setup, Subspace.ONE)
+    cfg = IntegratorConfig(step=1e-3)
+    with pytest.raises(BranchExitError, match="branch edge"):
+        integrate_block_ic2(coeffs, [1.0, 0.0], 0.5, cfg, sample_times=[0.0, 0.5])

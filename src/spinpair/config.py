@@ -171,7 +171,8 @@ def _parse_initial(node: Any) -> Any:
         if any(isinstance(v, (bool, list)) for v in parts):
             raise ConfigError(f"{where} must be a number or [re, im] pair")
         amps.append(complex(*(_finite(v, where) for v in parts)))
-    norm = sum(abs(a) ** 2 for a in amps)
+    # products: abs() and ** raise OverflowError past ~1e154
+    norm = sum(a.real * a.real + a.imag * a.imag for a in amps)
     if abs(norm - 1.0) > _STATE_NORM_TOL:
         raise ConfigError(f"explicit initial_state has norm {norm!r}, expected 1")
     return tuple(amps)
@@ -300,7 +301,11 @@ def build_ic1(section: Any) -> tuple[IC1Setup, ModelParams, PhaseConvention]:
     )
     k = _number(mapping, "k", "ic1")
     k2 = _number(mapping, "k2", "ic1", 0.0)
-    setup = IC1Setup.from_ratios(k, k2)
+    try:
+        setup = IC1Setup.from_ratios(k, k2)
+    except ValueError as exc:
+        # |k| near 1e16 and above: tan(2*theta10) cannot reproduce k
+        raise ConfigError(f"ic1: {exc}") from None
     if "omega_plus" not in mapping:
         raise ConfigError("missing key 'omega_plus' in ic1")
     omega_plus = parse_profile(mapping["omega_plus"], "ic1.omega_plus")

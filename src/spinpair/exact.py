@@ -29,7 +29,7 @@ from . import drive
 from ._kernels import _ic2_field
 from .drive import Constant, DriveProfile
 from .errors import ConfigError, BranchExitError, NotIntegrableError
-from .model import ModelParams, Subspace
+from .model import ModelParams, Subspace, diagonal_sign
 
 __all__ = [
     "PhaseConvention",
@@ -57,6 +57,8 @@ _INITIALS = {
 
 _PROPORTIONALITY_TOL = 1e-10
 _BRANCH_SLACK = 1e-12
+# rate-matched closed forms take rate**-2, which overflows below ~1e-154
+_MIN_RATE = 1e-150
 
 
 class PhaseConvention(Enum):
@@ -143,13 +145,6 @@ class IC1Setup:
         return math.tan(2.0 * self.theta20)
 
 
-# subspace -> (field, coupling) names of ModelParams.derived_two_term
-_BLOCK_DRIVES = {
-    Subspace.ONE: ("omega_plus", "lambda_m"),
-    Subspace.TWO: ("omega_minus", "lambda_p"),
-}
-
-
 def _block_combination(
     params: ModelParams, subspace: Subspace, c_field: float, c_coupling: float
 ) -> tuple[dict[float, tuple[float, float]], float]:
@@ -157,17 +152,11 @@ def _block_combination(
     # ({frequency > 0: (sin part, cos part)}, offset): each term
     # a*sin(b*t + p) adds a*cos(p) to the sin(b*t) and a*sin(p) to the
     # cos(b*t) coefficient of |b|, after (a, b, p) -> (-a, -b, -p) for b < 0
-    fname, cname = _BLOCK_DRIVES[subspace]
-    a1, b1, p1, a2, b2, p2, o1 = params.derived_two_term(fname)
-    a3, b3, p3, a4, b4, p4, o2 = params.derived_two_term(cname)
+    terms = params.block_terms(subspace)
     parts: dict[float, tuple[float, float]] = {}
-    offset = c_field * o1 + c_coupling * o2
-    for amp, freq, ph in (
-        (c_field * a1, b1, p1),
-        (c_field * a2, b2, p2),
-        (c_coupling * a3, b3, p3),
-        (c_coupling * a4, b4, p4),
-    ):
+    offset = c_field * terms[6] + c_coupling * terms[13]
+    for coef, i in ((c_field, 0), (c_field, 3), (c_coupling, 7), (c_coupling, 10)):
+        amp, freq, ph = coef * terms[i], terms[i + 1], terms[i + 2]
         if amp == 0.0:
             continue
         if freq == 0.0:
@@ -189,12 +178,8 @@ def _require_proportional(setup: IC1Setup, params: ModelParams, subspace: Subspa
         params, subspace, -math.sin(2.0 * theta0), math.cos(2.0 * theta0)
     )
     resid = sum(math.hypot(s, c) for s, c in parts.values()) + abs(offset)
-
-    def bound(name: str) -> float:
-        a1, _b1, _p1, a2, _b2, _p2, off = params.derived_two_term(name)
-        return abs(a1) + abs(a2) + abs(off)
-
-    scale = max(1.0, *map(bound, _BLOCK_DRIVES[subspace]))
+    terms = params.block_terms(subspace)
+    scale = max(1.0, *(abs(terms[i]) + abs(terms[i + 3]) + abs(terms[i + 6]) for i in (0, 7)))
     if not resid <= _PROPORTIONALITY_TOL * scale:
         raise NotIntegrableError(
             f"subspace {subspace.value} coupling is not proportional to its "
@@ -208,21 +193,16 @@ def _splitting_integral(
     theta0: float,
     t: np.ndarray,
     convention: PhaseConvention,
+    field: np.ndarray,
+    coupling: np.ndarray,
 ) -> np.ndarray:
-    # signed splitting along the frozen eigenbasis:
-    # g(t) = cos(2*theta0)*field + sin(2*theta0)*coupling
+    # integral over [0, t] of the splitting along the frozen eigenbasis,
+    # g = cos(2*theta0)*field + sin(2*theta0)*coupling, or of |g|;
+    # field and coupling are the block's own integrals over [0, t]
     c2 = math.cos(2.0 * theta0)
     s2 = math.sin(2.0 * theta0)
-    if subspace is Subspace.ONE:
-        fval, cval = params.omega_plus, params.lambda_m
-        fint = params.omega_plus_integral(t)
-        cint = params.lambda_m_integral(t)
-    else:
-        fval, cval = params.omega_minus, params.lambda_p
-        fint = params.omega_minus_integral(t)
-        cint = params.lambda_p_integral(t)
     if convention is PhaseConvention.SIGNED:
-        return c2 * fint + s2 * cint
+        return c2 * field + s2 * coupling
     if np.any(t < 0.0):
         raise ValueError("the nonnegative phase convention requires t >= 0")
     parts, offset = _block_combination(params, subspace, c2, s2)
@@ -232,11 +212,11 @@ def _splitting_integral(
     if len(parts) == 1 and offset == 0.0:
         ((freq, (s, c)),) = parts.items()
         return drive.integral_abs(drive.Sinusoid(math.hypot(s, c), freq, math.atan2(c, s)), t)
-    # no closed form for |g|: adaptive quadrature per time
-    return np.vectorize(
-        lambda u: drive.quadrature(lambda v: abs(c2 * fval(v) + s2 * cval(v)), 0.0, u),
-        otypes=[float],
-    )(t)[()]
+    raise NotIntegrableError(
+        f"subspace {subspace.value} splitting mixes several frequencies or a "
+        "sinusoid with an offset, so its magnitude has no closed integral; "
+        "use the signed phase convention"
+    )
 
 
 def ic1_phase(
@@ -273,7 +253,9 @@ def ic1_phase(
     ------
     NotIntegrableError
         If the block's coupling is not exactly proportional to its
-        field, decided from the drive coefficients for all times.
+        field, decided from the drive coefficients for all times, or
+        if the nonnegative convention meets a splitting with several
+        frequencies or a sinusoid plus an offset.
     """
     if j not in (1, 2, 3, 4):
         raise ValueError("eigenstate index must be 1, 2, 3 or 4")
@@ -281,17 +263,10 @@ def ic1_phase(
     _require_proportional(setup, params, subspace)
     theta0 = setup.theta10 if subspace is Subspace.ONE else setup.theta20
     t = np.asarray(t, dtype=float)
-    lz = 0.25 * params.lambda_z_integral(t)
-    split = _splitting_integral(params, subspace, theta0, t, convention)
-    if j == 1:
-        phase = lz + split
-    elif j == 2:
-        phase = lz - split
-    elif j == 3:
-        phase = -lz + split
-    else:
-        phase = -lz - split
-    return np.exp(-1j * phase)
+    field, coupling, diag = params.block_integrals(subspace, t)
+    split = _splitting_integral(params, subspace, theta0, t, convention, field, coupling)
+    # j = 1, 3: the upper eigenvalue diag + splitting; j = 2, 4: the lower
+    return np.exp(-1j * (diag + split if j % 2 else diag - split))
 
 
 def ic1_evolve(
@@ -370,6 +345,9 @@ class IC2Setup:
     def __post_init__(self):
         if self.kappa == 0.0:
             raise ValueError("kappa must be nonzero")
+        for name, rate in (("kappa", self.kappa), ("chi", self.chi)):
+            if 0.0 < abs(rate) < _MIN_RATE:
+                raise ValueError(f"|{name}| must be 0 or at least {_MIN_RATE:g}")
         if not 0.0 <= self.theta10 <= 0.5 * math.pi:
             raise ValueError("theta10 must lie in [0, pi/2]")
         if not 0.0 <= self.theta20 <= 0.5 * math.pi:
@@ -442,7 +420,9 @@ def ic2_admissible(setup: IC2Setup, subspace: Subspace = Subspace.ONE) -> Admiss
     hi = math.inf if 1.0 + c0 <= 0.0 else 2.0 / (1.0 + c0)
     lo = math.inf if 1.0 - c0 <= 0.0 else 2.0 / (1.0 - c0)
     bound = max(hi, lo)
-    lhs = beta / (2.0 * rate * mu)
+    product = 2.0 * rate * mu
+    # the product can underflow to a signed zero: the angle then never moves
+    lhs = beta / product if product else math.copysign(math.inf, product)
     # ">=" must survive rounding: equality is the tangent-touch case
     if lhs < bound - _BRANCH_SLACK * max(1.0, abs(bound)):
         return Admissibility(
@@ -519,7 +499,7 @@ def ic2_evolve(setup: IC2Setup, t: float | np.ndarray, initial: str) -> BlockAmp
     rbar = 1.0 / stretch
     delta = (theta - theta0) * stretch
     lz = 0.25 * drive.integral(setup.lambda_z, t)
-    lam = np.exp(-1j * lz) if subspace is Subspace.ONE else np.exp(1j * lz)
+    lam = np.exp(-1j * diagonal_sign(subspace) * lz)
     cth, sth = np.cos(theta), np.sin(theta)
     cd, sd = np.cos(delta), np.sin(delta)
     inv = rbar / rate
@@ -644,6 +624,7 @@ def ic2_kernel_coeffs(
     mu, beta, phi = sinus
     c0 = math.cos(2.0 * theta0)
     amp, freq, phase, offset = drive.single_term(setup.lambda_z)
-    if subspace is Subspace.TWO:
-        amp, offset = -amp, -offset
-    return (mu, beta, phi, rate, c0, 1.0 - c0, amp, freq, phase, 0.0, 0.0, 0.0, offset)
+    sign = diagonal_sign(subspace)
+    return (
+        mu, beta, phi, rate, c0, 1.0 - c0, sign * amp, freq, phase, 0.0, 0.0, 0.0, sign * offset
+    )

@@ -8,10 +8,14 @@ Basis conventions (frozen contract):
 
 The Hamiltonian is block diagonal in both orders; the first block acts
 on ``{|++>, |-->}`` (subspace I), the second on the remaining pair
-(subspace II).  Derived drive combinations used throughout:
+(subspace II).  Each block is ``[[field + z, coupling], [coupling,
+-field + z]]``, with field, coupling and diagonal ``z`` read from one
+table, ``_BLOCKS``:
 
-* ``lambda_p = (lambda_x + lambda_y)/4``, ``lambda_m = (lambda_x - lambda_y)/4``
-* ``omega_plus = (omega_1 + omega_2)/2``, ``omega_minus = (omega_1 - omega_2)/2``
+* subspace I: field ``omega_plus = (omega_1 + omega_2)/2``, coupling
+  ``lambda_m = (lambda_x - lambda_y)/4``, ``z = lambda_z/4``
+* subspace II: field ``omega_minus = (omega_1 - omega_2)/2``, coupling
+  ``lambda_p = (lambda_x + lambda_y)/4``, ``z = -lambda_z/4``
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from . import drive
-from .drive import Constant, DriveProfile, Scaled, Sinusoid
+from .drive import Constant, DriveProfile, Sinusoid
 from .errors import ConfigError, NotStaticError
 
 __all__ = [
@@ -34,6 +38,7 @@ __all__ = [
     "hamiltonian_uncoupled",
     "hamiltonian_coupled",
     "block",
+    "diagonal_sign",
     "spectrum",
     "static_ground_state",
     "basis_change_matrix",
@@ -50,6 +55,16 @@ class Subspace(Enum):
 
     ONE = "I"
     TWO = "II"
+
+
+# subspace -> (field, coupling, diagonal sign).  Field and coupling are
+# pairs (pa, ca, pb, cb) meaning ca*pa + cb*pb of two primitive profiles;
+# the diagonal is sign*lambda_z/4.  The coefficients are powers of two,
+# so each value is exactly the rounded (pa +- pb)/2 or /4.
+_BLOCKS = {
+    Subspace.ONE: (("omega_1", 0.5, "omega_2", 0.5), ("lambda_x", 0.25, "lambda_y", -0.25), 1.0),
+    Subspace.TWO: (("omega_1", 0.5, "omega_2", -0.5), ("lambda_x", 0.25, "lambda_y", 0.25), -1.0),
+}
 
 
 def _combine(c1: float, p1: DriveProfile, c2: float, p2: DriveProfile) -> DriveProfile:
@@ -114,77 +129,49 @@ class ModelParams:
             omega_2=_combine(1.0, omega_plus, -1.0, omega_minus),
         )
 
-    # -- derived values -------------------------------------------------
+    # -- the two blocks, all read from _BLOCKS ----------------------------
 
-    def lambda_p(self, t: float) -> float:
-        return 0.25 * (drive.evaluate(self.lambda_x, t) + drive.evaluate(self.lambda_y, t))
+    def _block(self, subspace: Subspace, f, t):
+        field, coupling, sign = _BLOCKS[subspace]
 
-    def lambda_m(self, t: float) -> float:
-        return 0.25 * (drive.evaluate(self.lambda_x, t) - drive.evaluate(self.lambda_y, t))
+        def pair(pa, ca, pb, cb):
+            return ca * f(getattr(self, pa), t) + cb * f(getattr(self, pb), t)
 
-    def omega_plus(self, t: float) -> float:
-        return 0.5 * (drive.evaluate(self.omega_1, t) + drive.evaluate(self.omega_2, t))
+        return pair(*field), pair(*coupling), (0.25 * sign) * f(self.lambda_z, t)
 
-    def omega_minus(self, t: float) -> float:
-        return 0.5 * (drive.evaluate(self.omega_1, t) - drive.evaluate(self.omega_2, t))
+    def block_values(self, subspace: Subspace, t: float | np.ndarray) -> tuple:
+        """(field, coupling, z) of one block at t, a float or an array of times."""
+        return self._block(subspace, drive.evaluate, t)
 
-    def lambda_z_value(self, t: float) -> float:
-        return drive.evaluate(self.lambda_z, t)
+    def block_integrals(self, subspace: Subspace, t: float | np.ndarray) -> tuple:
+        """Exact integrals over [0, t] of :meth:`block_values`."""
+        return self._block(subspace, drive.integral, t)
 
-    # -- derived integrals over [0, t] ----------------------------------
+    def block_terms(self, subspace: Subspace) -> tuple[float, ...]:
+        """One block as the 21 floats the RK4 kernels step with.
 
-    def lambda_p_integral(self, t: float) -> float:
-        return 0.25 * (drive.integral(self.lambda_x, t) + drive.integral(self.lambda_y, t))
+        Field, coupling and ``4*z`` as two-term drives
+        ``(a1, b1, p1, a2, b2, p2, off)``, each meaning
+        ``a1*sin(b1*t + p1) + a2*sin(b2*t + p2) + off``; exact for every
+        parameter set.
+        """
+        field, coupling, sign = _BLOCKS[subspace]
 
-    def lambda_m_integral(self, t: float) -> float:
-        return 0.25 * (drive.integral(self.lambda_x, t) - drive.integral(self.lambda_y, t))
+        def pair(pa, ca, pb, cb):
+            a1, b1, p1, o1 = drive.single_term(getattr(self, pa))
+            a2, b2, p2, o2 = drive.single_term(getattr(self, pb))
+            return (ca * a1, b1, p1, cb * a2, b2, p2, ca * o1 + cb * o2)
 
-    def omega_plus_integral(self, t: float) -> float:
-        return 0.5 * (drive.integral(self.omega_1, t) + drive.integral(self.omega_2, t))
-
-    def omega_minus_integral(self, t: float) -> float:
-        return 0.5 * (drive.integral(self.omega_1, t) - drive.integral(self.omega_2, t))
-
-    def lambda_z_integral(self, t: float) -> float:
-        return drive.integral(self.lambda_z, t)
+        a, b, p, o = drive.single_term(self.lambda_z)
+        # o + 0.0: a zero offset is +0.0 in block I and -0.0 in block II,
+        # signs that reach amplitudes which stay exactly zero
+        return pair(*field) + pair(*coupling) + (sign * a, b, p, 0.0, 0.0, 0.0, sign * (o + 0.0))
 
     def is_static(self) -> bool:
         return all(
             drive.is_static(p)
             for p in (self.lambda_x, self.lambda_y, self.lambda_z, self.omega_1, self.omega_2)
         )
-
-    def derived_two_term(self, name: str) -> tuple[float, ...]:
-        """Derived profile as (a1, b1, p1, a2, b2, p2, offset) coefficients.
-
-        Exact for every parameter set; used to hand the RK4 kernels a
-        closed description of the drive.
-        """
-        pair = {
-            "omega_plus": (self.omega_1, 0.5, self.omega_2, 0.5),
-            "omega_minus": (self.omega_1, 0.5, self.omega_2, -0.5),
-            "lambda_m": (self.lambda_x, 0.25, self.lambda_y, -0.25),
-            "lambda_p": (self.lambda_x, 0.25, self.lambda_y, 0.25),
-            "lambda_z": (self.lambda_z, 1.0, Constant(0.0), 0.0),
-        }[name]
-        pa, ca, pb, cb = pair
-        a1, b1, p1, o1 = drive.single_term(pa)
-        a2, b2, p2, o2 = drive.single_term(pb)
-        return (ca * a1, b1, p1, cb * a2, b2, p2, ca * o1 + cb * o2)
-
-    def derived_single(self, name: str) -> DriveProfile | None:
-        """Derived profile as one closed profile, or None if not reducible."""
-        a1, b1, p1, a2, b2, p2, off = self.derived_two_term(name)
-        try:
-            terms = _combine(
-                1.0,
-                Constant(0.0) if a1 == 0.0 else Sinusoid(a1, b1, p1),
-                1.0,
-                Constant(0.0) if a2 == 0.0 else Sinusoid(a2, b2, p2),
-            )
-            return _combine(1.0, terms, 1.0, Constant(off))
-        except ConfigError:
-            return None
 
     def all_frequencies(self) -> list[float]:
         out: list[float] = []
@@ -193,22 +180,21 @@ class ModelParams:
         return out
 
 
+def diagonal_sign(subspace: Subspace) -> float:
+    """Sign of ``lambda_z/4`` on the diagonal of the subspace's block."""
+    return _BLOCKS[subspace][2]
+
+
+def _two_by_two(field, coupling, z) -> np.ndarray:
+    return np.array([[field + z, coupling], [coupling, -field + z]], dtype=complex)
+
+
 def hamiltonian_uncoupled(params: ModelParams, t: float) -> np.ndarray:
     """4x4 Hamiltonian in the uncoupled order; off-block entries exactly zero."""
-    lp = params.lambda_p(t)
-    lm = params.lambda_m(t)
-    lz4 = 0.25 * params.lambda_z_value(t)
-    wp = params.omega_plus(t)
-    wm = params.omega_minus(t)
-    return np.array(
-        [
-            [wp + lz4, lm, 0.0, 0.0],
-            [lm, -wp + lz4, 0.0, 0.0],
-            [0.0, 0.0, wm - lz4, lp],
-            [0.0, 0.0, lp, -wm - lz4],
-        ],
-        dtype=complex,
-    )
+    h = np.zeros((4, 4), dtype=complex)
+    h[:2, :2] = block(params, t, Subspace.ONE)
+    h[2:, 2:] = block(params, t, Subspace.TWO)
+    return h
 
 
 def basis_change_matrix() -> np.ndarray:
@@ -227,32 +213,17 @@ def basis_change_matrix() -> np.ndarray:
 
 def hamiltonian_coupled(params: ModelParams, t: float) -> np.ndarray:
     """4x4 Hamiltonian in the coupled order (symmetric / antisymmetric pair)."""
-    lp = params.lambda_p(t)
-    lm = params.lambda_m(t)
-    lz4 = 0.25 * params.lambda_z_value(t)
-    wp = params.omega_plus(t)
-    wm = params.omega_minus(t)
-    return np.array(
-        [
-            [wp + lz4, lm, 0.0, 0.0],
-            [lm, -wp + lz4, 0.0, 0.0],
-            [0.0, 0.0, lp - lz4, wm],
-            [0.0, 0.0, wm, -lp - lz4],
-        ],
-        dtype=complex,
-    )
+    h = np.zeros((4, 4), dtype=complex)
+    h[:2, :2] = block(params, t, Subspace.ONE)
+    # on {|s>, |a>} the subspace-II field and coupling trade places
+    field, coupling, z = params.block_values(Subspace.TWO, t)
+    h[2:, 2:] = _two_by_two(coupling, field, z)
+    return h
 
 
 def block(params: ModelParams, t: float, subspace: Subspace) -> np.ndarray:
     """2x2 Hermitian block of the uncoupled Hamiltonian for one subspace."""
-    lz4 = 0.25 * params.lambda_z_value(t)
-    if subspace is Subspace.ONE:
-        wp = params.omega_plus(t)
-        lm = params.lambda_m(t)
-        return np.array([[wp + lz4, lm], [lm, -wp + lz4]], dtype=complex)
-    wm = params.omega_minus(t)
-    lp = params.lambda_p(t)
-    return np.array([[wm - lz4, lp], [lp, -wm - lz4]], dtype=complex)
+    return _two_by_two(*params.block_values(subspace, t))
 
 
 @dataclass(frozen=True)
@@ -279,15 +250,7 @@ def spectrum(params: ModelParams, t: float, subspace: Subspace) -> Spectrum:
 
     theta = atan2(coupling, field)/2, giving 2*theta in (-pi, pi].
     """
-    lz4 = 0.25 * params.lambda_z_value(t)
-    if subspace is Subspace.ONE:
-        field = params.omega_plus(t)
-        coupling = params.lambda_m(t)
-        diag = lz4
-    else:
-        field = params.omega_minus(t)
-        coupling = params.lambda_p(t)
-        diag = -lz4
+    field, coupling, diag = params.block_values(subspace, t)
     degenerate = field == 0.0 and coupling == 0.0
     theta = 0.0 if degenerate else 0.5 * math.atan2(coupling, field)
     gap = math.hypot(field, coupling)
@@ -326,7 +289,7 @@ def static_ground_state(params: ModelParams) -> StaticGroundState:
     s1 = spectrum(params, 0.0, Subspace.ONE)
     s2 = spectrum(params, 0.0, Subspace.TWO)
     eta, zeta = s1.gap, s2.gap
-    lz4 = 0.25 * params.lambda_z_value(0.0)
+    lz4 = params.block_values(Subspace.ONE, 0.0)[2]
     margin = eta - (lz4 + zeta)
     tol = 1e-12 * max(1.0, abs(eta))
     if abs(margin) <= tol:

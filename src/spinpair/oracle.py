@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import NormDriftError
+from .errors import ConfigError, NormDriftError
 from .model import ModelParams, Subspace
 
 __all__ = [
@@ -111,6 +111,14 @@ def _event_grid(
     return events, is_sample
 
 
+def _norm2(y) -> float:
+    # sum of |v|**2; abs() and ** raise OverflowError past ~1e154
+    try:
+        return sum(abs(v) ** 2 for v in y)
+    except OverflowError:
+        return math.inf
+
+
 def _march(step_fn, y0, events, is_sample, cfg: IntegratorConfig):
     """Generic march over event segments.
 
@@ -121,7 +129,7 @@ def _march(step_fn, y0, events, is_sample, cfg: IntegratorConfig):
     n_samples = int(np.count_nonzero(is_sample))
     out = np.empty((n_samples, dim), dtype=complex)
     y = tuple(complex(v) for v in y0)
-    norm0 = sum(abs(v) ** 2 for v in y)
+    norm0 = _norm2(y)
     drift = 0.0
     estimate = 0.0 if cfg.method == "rk4_doubling" else None
 
@@ -136,34 +144,21 @@ def _march(step_fn, y0, events, is_sample, cfg: IntegratorConfig):
         y_next = step_fn(y, a, b, n)
         if estimate is not None:
             y_half = step_fn(y, a, b, 2 * n)
-            diff = math.sqrt(
-                sum(abs(y_next[i] - y_half[i]) ** 2 for i in range(dim))
-            )
+            diff = math.sqrt(_norm2([u - v for u, v in zip(y_next, y_half)]))
             estimate += diff * (16.0 / 15.0)
         y = y_next
         if is_sample[k]:
             out[row] = y
             row += 1
-            drift = max(drift, abs(sum(abs(v) ** 2 for v in y) - norm0))
-    if drift > cfg.norm_tolerance:
+            d = abs(_norm2(y) - norm0)
+            # max() drops a NaN second argument; a NaN drift must stick
+            drift = d if math.isnan(d) else max(drift, d)
+    if not drift <= cfg.norm_tolerance:
         raise NormDriftError(
             f"norm drift {drift:.3e} exceeds tolerance {cfg.norm_tolerance:.3e}; "
             "reduce the step"
         )
     return out, drift, estimate
-
-
-def _block_coeffs(params: ModelParams, subspace: Subspace) -> tuple[float, ...]:
-    if subspace is Subspace.ONE:
-        field = params.derived_two_term("omega_plus")
-        coupling = params.derived_two_term("lambda_m")
-        zdiag = params.derived_two_term("lambda_z")
-    else:
-        field = params.derived_two_term("omega_minus")
-        coupling = params.derived_two_term("lambda_p")
-        a1, b1, p1, a2, b2, p2, off = params.derived_two_term("lambda_z")
-        zdiag = (-a1, b1, p1, -a2, b2, p2, -off)
-    return field + coupling + zdiag
 
 
 def integrate_block(
@@ -175,7 +170,7 @@ def integrate_block(
     sample_times: Sequence[float] | None = None,
 ) -> BlockTrace:
     """RK4 propagation of one 2x2 block of the Hamiltonian."""
-    coeffs = _block_coeffs(params, subspace)
+    coeffs = params.block_terms(subspace)
     events, is_sample = _event_grid(t_end, sample_times, ())
 
     def step(y, a, b, n):
@@ -200,8 +195,8 @@ def integrate_full(
     stay exactly zero: no numerical leakage.  Norm drift and the
     doubling estimate are taken over all four amplitudes.
     """
-    one = _block_coeffs(params, Subspace.ONE)
-    two = _block_coeffs(params, Subspace.TWO)
+    one = params.block_terms(Subspace.ONE)
+    two = params.block_terms(Subspace.TWO)
     events, is_sample = _event_grid(t_end, sample_times, ())
 
     def step(y, a, b, n):
@@ -261,11 +256,20 @@ def integrate_block_ic2(
 
     Raises
     ------
+    ConfigError
+        If ``coeffs`` is not 13 finite floats with nonzero frequency
+        ``beta`` (entry 1) and rate (entry 3).
     BranchExitError
         If the angle reaches the branch edge inside a segment (an
         inadmissible setup).
     """
     coeffs = tuple(float(v) for v in coeffs)
+    if len(coeffs) != 13:
+        raise ConfigError(f"ic2 kernel coefficients must be 13 floats, got {len(coeffs)}")
+    if not all(map(math.isfinite, coeffs)) or coeffs[1] == 0.0 or coeffs[3] == 0.0:
+        raise ConfigError(
+            "ic2 kernel coefficients must be finite, with nonzero beta and rate"
+        )
     events, is_sample = _event_grid(t_end, sample_times, breakpoints)
 
     def step(y, a, b, n):

@@ -1,8 +1,13 @@
+import copy
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpair.cli import (
     CSV_COLUMNS,
@@ -401,6 +406,25 @@ def test_overflowing_drive_fails_the_norm_check():
         compute_trace(cfg)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_main_numeric_nan_amplitudes_exit_2(tmp_path, capsys):
+    # the RK4 steps overflow to NaN; this wrote a CSV of nan and exited 0.
+    # PyYAML reads 1.0e150 (no exponent sign) as a string, so 1.0e+150
+    path = tmp_path / "huge.yaml"
+    path.write_text(
+        "mode: numeric\n"
+        "initial_state: pp\n"
+        "time: {t_end: 1.0, samples: 11}\n"
+        "numeric:\n"
+        "  omega_plus: {kind: sinusoid, amplitude: 1.0e+150, frequency: 3.0}\n",
+        encoding="utf-8",
+    )
+    outdir = tmp_path / "out"
+    assert main(["run", str(path), "--output", str(outdir)]) == 2
+    assert "norm drift nan" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_main_sweep_writes_summary(tmp_path, capsys):
     path = write_yaml(
         tmp_path,
@@ -415,3 +439,123 @@ def test_main_sweep_writes_summary(tmp_path, capsys):
     assert (outdir / "swept_summary.csv").is_file()
     assert (outdir / "swept_2.csv").is_file()
     assert (outdir / "swept_6.csv").is_file()
+
+
+# --- property: main() ends in 0 or 2 on any small config ---------------------
+
+def _profiles(amplitudes, frequencies):
+    sinusoid = st.fixed_dictionaries(
+        {"kind": st.just("sinusoid"), "amplitude": amplitudes, "frequency": frequencies},
+        optional={"phase": st.floats(-3.0, 3.0)},
+    )
+    scaled = st.fixed_dictionaries(
+        {"kind": st.just("scaled"), "factor": st.floats(-2.0, 2.0), "base": sinusoid}
+    )
+    return st.one_of(amplitudes, sinusoid, scaled)
+
+
+_FREQ = st.floats(0.5, 20.0) | st.floats(-20.0, -0.5)
+_PROFILE = _profiles(st.floats(-5.0, 5.0), _FREQ)
+_ANGLE = st.floats(0.0, 0.5 * math.pi)
+_SECTIONS = {
+    "ic1": st.fixed_dictionaries(
+        {"k": st.floats(-3.0, 3.0), "omega_plus": _PROFILE},
+        optional={
+            "k2": st.floats(-3.0, 3.0),
+            "omega_minus": _PROFILE,
+            "lambda_z": _PROFILE,
+            "phase_convention": st.sampled_from(["signed", "nonnegative"]),
+        },
+    ),
+    "ic2": st.fixed_dictionaries(
+        {"kappa": st.floats(-1.0, 1.0), "theta10": _ANGLE, "lambda_m": _PROFILE},
+        optional={
+            "lambda_z": _PROFILE,
+            "chi": st.floats(-1.0, 1.0),
+            "theta20": _ANGLE,
+            "lambda_p": _PROFILE,
+        },
+    ),
+    "rwa": st.fixed_dictionaries(
+        {
+            "mode": st.sampled_from(["lambda_drive", "field_drive"]),
+            "static_value": st.floats(-5.0, 5.0),
+            "drive": _profiles(st.floats(-5.0, 5.0), st.floats(0.5, 20.0)),
+            "theta10": st.floats(-1.6, 1.6),
+        },
+        optional={"lambda_z": _PROFILE},
+    ),
+    "perturbation": st.fixed_dictionaries(
+        {"omega_plus": st.floats(-5.0, 5.0), "drive": _profiles(st.floats(-1.0, 1.0), _FREQ)}
+    ),
+    "numeric": st.one_of(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                name: _PROFILE
+                for name in ("omega_plus", "omega_minus", "lambda_m", "lambda_p", "lambda_z")
+            }
+            | {"step": st.sampled_from([0.01, 0.05])},
+        ),
+        st.fixed_dictionaries(
+            {name: _PROFILE for name in ("lambda_x", "lambda_y", "lambda_z", "omega_1", "omega_2")}
+        ),
+    ),
+}
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in items for leaf in _leaves(child, path + (key,))]
+
+
+@st.composite
+def _configs(draw):
+    # a config in range; every other one then gets one leaf replaced by a
+    # zero, negative, huge, non-finite or non-numeric value
+    mode = draw(st.sampled_from(sorted(_SECTIONS)))
+    initial = st.sampled_from(
+        ["pp", "mm", "pm", "mp", "bell_s", "bell_a", "phi1", "phi2", "phi3", "phi4",
+         [0.5, [0.0, 0.5], 0.5, -0.5]]
+    )
+    time = {"t_end": draw(st.sampled_from([0.5, 1.0, 2.0])), "samples": draw(st.integers(2, 50))}
+    # a copy: the corruption below must not reach the shared sampled values
+    data = copy.deepcopy(
+        {"mode": mode, "initial_state": draw(initial), "time": time, mode: draw(_SECTIONS[mode])}
+    )
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(_leaves(data)))
+        bad = [0.0, -1.0, 1e150, -1e300, math.nan, math.inf, -math.inf, "x", None]
+        if mode == "numeric" and path[-1] in ("frequency", "t_end"):
+            # RK4 steps through every period: keep the work bounded
+            bad.remove(1e150)
+            bad.remove(-1e300)
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(st.sampled_from(bad))
+    return data
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=_configs())
+def test_main_exits_0_or_2_on_generated_configs(data):
+    # exit 0 writes one CSV without a NaN; exit 2 writes nothing
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_yaml(Path(tmp), "case", data)
+        outdir = Path(tmp) / "out"
+        code = main(["run", str(path), "--output", str(outdir)])
+        assert code in (0, 2)
+        csvs = list(outdir.glob("*.csv"))
+        if code == 0:
+            (csv,) = csvs
+            rows = [ln for ln in csv.read_text().splitlines() if not ln.startswith("#")]
+            assert "nan" not in "".join(rows).lower()
+        else:
+            assert not csvs

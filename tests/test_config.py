@@ -18,6 +18,7 @@ from spinpair.config import (
 from spinpair.drive import Constant, Scaled, Sinusoid
 from spinpair.errors import ConfigError
 from spinpair.exact import PhaseConvention
+from spinpair.model import Subspace
 
 SINUSOID_NODE = {"kind": "sinusoid", "amplitude": 2.0, "frequency": 50.0, "phase": 0.1}
 
@@ -105,6 +106,10 @@ def test_parse_config_explicit_amplitudes():
     {"ic1": {"k": 0.5, "omega_plus": dict(SINUSOID_NODE, phase=math.nan)}},
     {"ic1": {"k": 0.5, "omega_plus": dict(SINUSOID_NODE), "lambda_z": math.inf}},
     {"ic1": {"k": 0.5, "omega_plus": dict(SINUSOID_NODE), "mu": 1.0}},
+    # these raised OverflowError and a bare ValueError
+    {"initial_state": [1e300, 0.0, 0.0, 0.0]},
+    {"initial_state": [[1.7e308, 1.7e308], 0.0, 0.0, 0.0]},
+    {"ic1": {"k": 1e300, "omega_plus": dict(SINUSOID_NODE)}},
 ])
 def test_parse_config_rejects(mutate):
     with pytest.raises(ConfigError):
@@ -162,8 +167,9 @@ def test_build_ic1_defaults_and_proportionality():
     assert setup.theta20 == 0.0
     assert convention is PhaseConvention.SIGNED
     for t in (0.0, 0.3):
-        assert params.lambda_m(t) == pytest.approx(0.5 * params.omega_plus(t), abs=1e-15)
-        assert params.omega_minus(t) == 0.0
+        field, coupling, _z = params.block_values(Subspace.ONE, t)
+        assert coupling == pytest.approx(0.5 * field, abs=1e-15)
+        assert params.block_values(Subspace.TWO, t)[0] == 0.0
 
 
 def test_build_ic1_nonnegative_convention():
@@ -243,8 +249,9 @@ def test_build_numeric_primitive():
 def test_build_numeric_derived():
     params, step = build_numeric({"omega_plus": dict(SINUSOID_NODE)})
     assert step is None
-    assert params.omega_plus(0.1) == pytest.approx(2.0 * math.sin(5.1), abs=1e-14)
-    assert params.lambda_m(0.1) == 0.0
+    field, coupling, _z = params.block_values(Subspace.ONE, 0.1)
+    assert field == pytest.approx(2.0 * math.sin(5.1), abs=1e-14)
+    assert coupling == 0.0
 
 
 @pytest.mark.parametrize("section", [

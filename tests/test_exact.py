@@ -151,6 +151,24 @@ def test_ic1_conventions_agree_until_field_changes_sign():
     assert abs(signed - nonneg) > 1e-3
 
 
+def test_ic1_nonnegative_without_closed_form_is_refused():
+    # the subspace-I field mixes frequencies 5 and 7 (the coupling is 0),
+    # so |g| has no closed integral; this used to fall back to adaptive
+    # quadrature per time, a path no config reaches
+    params = ModelParams(
+        lambda_x=Sinusoid(1.0, 3.0),
+        lambda_y=Sinusoid(1.0, 3.0),
+        lambda_z=Constant(0.0),
+        omega_1=Sinusoid(2.0, 5.0),
+        omega_2=Sinusoid(1.0, 7.0),
+    )
+    setup = IC1Setup.from_ratios(0.0)
+    t = np.linspace(0.0, 1.0, 5)
+    assert np.all(np.abs(ic1_phase(setup, params, t, 1)) == pytest.approx(1.0))
+    with pytest.raises(NotIntegrableError, match="signed phase convention"):
+        ic1_phase(setup, params, t, 1, PhaseConvention.NONNEGATIVE)
+
+
 def test_ic1_nonnegative_rejects_negative_time():
     setup = IC1Setup.from_ratios(0.5)
     params = proportional_params(0.5)
@@ -399,3 +417,15 @@ def test_ic2_setup_validation():
         IC2Setup(kappa=0.1, theta10=-0.1, lambda_m=Sinusoid(1.0, 10.0))
     with pytest.raises(ValueError):
         IC2Setup(kappa=0.1, theta10=0.1, theta20=2.0, lambda_m=Sinusoid(1.0, 10.0))
+    # rate**-2 would overflow in the closed form
+    with pytest.raises(ValueError, match="kappa"):
+        IC2Setup(kappa=-1e-200, theta10=0.1, lambda_m=Sinusoid(1.0, 10.0))
+    with pytest.raises(ValueError, match="chi"):
+        IC2Setup(kappa=0.1, theta10=0.1, chi=1e-160, lambda_m=Sinusoid(1.0, 10.0))
+
+
+def test_ic2_underflowing_rate_times_amplitude_is_a_verdict():
+    # 2*kappa*mu underflows to zero: the angle never moves, so the setup
+    # is admissible; this raised ZeroDivisionError
+    setup = IC2Setup(kappa=1e-150, theta10=1.0, lambda_m=Sinusoid(1e-300, 1.0))
+    assert ic2_admissible(setup).valid

@@ -17,6 +17,7 @@ from spinpair.model import (
     spectrum,
     static_ground_state,
 )
+from spinpair.symmetry import map_params_I_to_II
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -144,11 +145,11 @@ def test_from_derived_round_trip():
         lambda_z=Constant(0.4),
     )
     for t in (0.0, 0.3, 1.9):
-        assert params.omega_plus(t) == pytest.approx(2.0 * math.sin(50.0 * t + math.pi / 50), abs=1e-14)
-        assert params.lambda_m(t) == pytest.approx(0.5 * params.omega_plus(t), abs=1e-14)
-        assert params.omega_minus(t) == 0.0
-        assert params.lambda_p(t) == 0.0
-        assert params.lambda_z_value(t) == 0.4
+        field, coupling, z = params.block_values(Subspace.ONE, t)
+        assert field == pytest.approx(2.0 * math.sin(50.0 * t + math.pi / 50), abs=1e-14)
+        assert coupling == pytest.approx(0.5 * field, abs=1e-14)
+        assert z == 0.4 / 4
+        assert params.block_values(Subspace.TWO, t) == (0.0, 0.0, -0.4 / 4)
 
 
 def test_from_derived_rejects_incommensurate_mix():
@@ -164,44 +165,58 @@ def test_from_derived_rejects_incommensurate_mix():
         )
 
 
+# each derived drive's place in the block table: (subspace, entry of
+# block_values); lambda_z is the diagonal of both blocks
+BLOCK_ENTRIES = {
+    "omega_plus": [(Subspace.ONE, 0)],
+    "lambda_m": [(Subspace.ONE, 1)],
+    "omega_minus": [(Subspace.TWO, 0)],
+    "lambda_p": [(Subspace.TWO, 1)],
+    "lambda_z": [(Subspace.ONE, 2), (Subspace.TWO, 2)],
+}
+
+
 @pytest.mark.parametrize("params", PARAM_SETS)
 @pytest.mark.parametrize(
     "name", ["omega_plus", "omega_minus", "lambda_m", "lambda_p", "lambda_z"]
 )
 def test_derived_two_term_reconstructs_accessor(params, name):
-    a1, b1, p1, a2, b2, p2, off = params.derived_two_term(name)
-    accessor = getattr(params, name if name != "lambda_z" else "lambda_z_value")
-    for t in (0.0, 0.7, 2.3):
-        value = a1 * math.sin(b1 * t + p1) + a2 * math.sin(b2 * t + p2) + off
-        assert accessor(t) == pytest.approx(value, abs=1e-13)
+    # the kernel vector, evaluated, equals the block values; its third
+    # two-term drive is 4*z
+    for subspace, entry in BLOCK_ENTRIES[name]:
+        terms = params.block_terms(subspace)
+        a1, b1, p1, a2, b2, p2, off = terms[7 * entry : 7 * entry + 7]
+        scale = 0.25 if entry == 2 else 1.0
+        for t in (0.0, 0.7, 2.3):
+            value = a1 * math.sin(b1 * t + p1) + a2 * math.sin(b2 * t + p2) + off
+            assert params.block_values(subspace, t)[entry] == pytest.approx(
+                scale * value, abs=1e-13
+            )
 
 
-def test_derived_single_merges_commensurate_terms():
-    params = ModelParams(
-        lambda_x=Sinusoid(2.0, 5.0, 0.3),
-        lambda_y=Sinusoid(1.0, 5.0, 0.3),
-        lambda_z=Constant(0.7),
-        omega_1=Constant(1.0),
-        omega_2=Constant(0.5),
-    )
-    lm = params.derived_single("lambda_m")
-    assert lm == Sinusoid(0.25, 5.0, 0.3)
-    assert params.derived_single("lambda_z") == Constant(0.7)
-    assert params.derived_single("omega_plus") == Constant(0.75)
-
-
-def test_derived_single_none_when_not_reducible():
-    params = ModelParams(
-        lambda_x=Sinusoid(2.0, 5.0),
-        lambda_y=Sinusoid(1.0, 7.0),
-        lambda_z=Constant(0.0),
-        omega_1=Sinusoid(1.0, 3.0),
-        omega_2=Constant(0.5),
-    )
-    # incommensurate sinusoids
-    assert params.derived_single("lambda_m") is None
-    # sinusoid plus nonzero offset leaves the closed algebra
-    assert params.derived_single("omega_plus") is None
+@pytest.mark.parametrize(
+    "params",
+    PARAM_SETS
+    + [
+        ModelParams(
+            lambda_x=Scaled(0.3, Sinusoid(1.1, 2.0, 0.2)),
+            lambda_y=Sinusoid(-0.6, 3.0),
+            lambda_z=Sinusoid(0.7, 4.0, -0.1),
+            omega_1=Constant(-0.9),
+            omega_2=Scaled(-2.0, Constant(0.25)),
+        )
+    ],
+)
+def test_subspace_two_is_subspace_one_of_the_mapped_params(params):
+    # the block-exchanging symmetry: exact, so compared bitwise
+    mapped = map_params_I_to_II(params)
+    t = np.linspace(0.0, 3.0, 13)
+    for read in ("block_values", "block_integrals"):
+        two = getattr(params, read)(Subspace.TWO, t)
+        one = getattr(mapped, read)(Subspace.ONE, t)
+        for a, b in zip(two, one):
+            assert np.array_equal(a, b)
+    assert params.block_terms(Subspace.TWO) == mapped.block_terms(Subspace.ONE)
 
 
 def test_all_frequencies_and_is_static():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinpair.drive import Constant, Sinusoid
-from spinpair.errors import BranchExitError, NormDriftError
+from spinpair.errors import BranchExitError, ConfigError, NormDriftError
 from spinpair.exact import IC2Setup, ic2_breakpoints, ic2_kernel_coeffs
 from spinpair.model import ModelParams, Subspace
 from spinpair.oracle import (
@@ -106,6 +106,16 @@ def test_norm_drift_error_with_coarse_step():
         integrate_block(DRIVEN, Subspace.ONE, [1.0, 0.0], 10.0, cfg)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_amplitudes_fail_the_norm_check():
+    # the steps overflow to NaN amplitudes; max() used to drop the NaN
+    # drift and return them with norm_drift == 0.0
+    params = ModelParams.from_derived(omega_plus=Sinusoid(1e150, 3.0))
+    cfg = IntegratorConfig(step=suggest_step(params, 1.0))
+    with pytest.raises(NormDriftError, match="nan"):
+        integrate_full(params, [1.0, 0.0, 0.0, 0.0], 1.0, cfg)
+
+
 def test_doubling_estimate_bounds_error():
     from spinpair.model import block
 
@@ -191,4 +201,18 @@ def test_integrate_block_ic2_branch_exit_is_typed(theta10):
     coeffs = ic2_kernel_coeffs(setup, Subspace.ONE)
     cfg = IntegratorConfig(step=1e-3)
     with pytest.raises(BranchExitError, match="branch edge"):
+        integrate_block_ic2(coeffs, [1.0, 0.0], 0.5, cfg, sample_times=[0.0, 0.5])
+
+
+@pytest.mark.parametrize("coeffs", [
+    (4.0, 50.0, 0.0, 0.1, 1.0, 0.0),
+    (4.0, 0.0, 0.0, 0.1, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (4.0, 50.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (4.0, 50.0, 0.0, 0.1, 0.0, 1.0, math.nan, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+], ids=["short", "beta_zero", "kappa_zero", "nan_entry"])
+def test_integrate_block_ic2_checks_its_coeffs(coeffs):
+    # with kappa = 0 and the angle inside the branch the kernel used to
+    # run to the end without a complaint
+    cfg = IntegratorConfig(step=1e-3)
+    with pytest.raises(ConfigError, match="ic2 kernel coefficients"):
         integrate_block_ic2(coeffs, [1.0, 0.0], 0.5, cfg, sample_times=[0.0, 0.5])

@@ -46,7 +46,6 @@ from .entangle import (
     concurrence_ic1,
     concurrence_ic2,
     concurrence_pure,
-    concurrence_subspace_I,
     concurrence_wootters,
     spin_flip_matrix,
 )
@@ -92,9 +91,8 @@ from .model import (
     static_ground_state,
 )
 from .oracle import (
-    BlockTrace,
-    FullTrace,
     IntegratorConfig,
+    Trace,
     integrate_block,
     integrate_block_fn,
     integrate_block_ic2,
@@ -103,7 +101,6 @@ from .oracle import (
 )
 from .symmetry import (
     Parity,
-    SymmetryOp,
     map_params_I_to_II,
     map_params_global_flip,
     map_state_I_to_II,
@@ -170,13 +167,11 @@ __all__ = [
     "basis_convert",
     "concurrence_pure",
     "concurrence_wootters",
-    "concurrence_subspace_I",
     "concurrence_generic",
     "concurrence_ic1",
     "concurrence_ic2",
     "spin_flip_matrix",
     # symmetry
-    "SymmetryOp",
     "Parity",
     "parity",
     "map_params_I_to_II",
@@ -185,8 +180,7 @@ __all__ = [
     "map_state_global_flip",
     # numeric oracle
     "IntegratorConfig",
-    "BlockTrace",
-    "FullTrace",
+    "Trace",
     "suggest_step",
     "integrate_block",
     "integrate_full",

@@ -31,18 +31,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .approx import perturb_x1, perturb_x2, rwa_evolve, rwa_orthogonal
-from .config import (
-    RunConfig,
-    apply_sweep_value,
-    build_ic1,
-    build_ic2,
-    build_numeric,
-    build_perturbation,
-    build_rwa,
-    load_config,
-    parse_config,
-)
-from .entangle import concurrence_pure
+from .config import RunConfig, apply_sweep_value, load_config, parse_config
+from .entangle import _mixing_pair, concurrence_pure
 from .errors import AdmissibilityError, ConfigError, NormDriftError, SpinpairError
 from .exact import BlockAmplitudes, ic1_evolve, ic2_admissible, ic2_evolve
 from .model import Subspace, spectrum
@@ -86,16 +76,6 @@ SUMMARY_COLUMNS = (
 
 _PRESET_PACKAGE = "spinpair.presets"
 _ANALYTIC_NORM_TOL = 1e-9
-_ROOT2 = math.sqrt(0.5)
-
-_NAMED_UNCOUPLED = {
-    "pp": (1.0, 0.0, 0.0, 0.0),
-    "mm": (0.0, 1.0, 0.0, 0.0),
-    "pm": (0.0, 0.0, 1.0, 0.0),
-    "mp": (0.0, 0.0, 0.0, 1.0),
-    "bell_s": (_ROOT2, _ROOT2, 0.0, 0.0),
-    "bell_a": (_ROOT2, -_ROOT2, 0.0, 0.0),
-}
 
 
 @dataclass(frozen=True)
@@ -136,38 +116,12 @@ def _flatten_echo(node: Any, prefix: str = "") -> list[tuple[str, str]]:
     return [(prefix[:-1], json.dumps(node, sort_keys=True))]
 
 
-def _initial_uncoupled(
+def _eigen_mixtures(
     cfg: RunConfig, theta10: float, theta20: float
 ) -> tuple[complex, complex, complex, complex]:
-    """Uncoupled-order amplitudes of the configured initial state."""
-    if isinstance(cfg.initial, tuple):
-        return cfg.initial
-    if cfg.initial in _NAMED_UNCOUPLED:
-        return tuple(complex(v) for v in _NAMED_UNCOUPLED[cfg.initial])
-    c1, s1 = math.cos(theta10), math.sin(theta10)
-    c2, s2 = math.cos(theta20), math.sin(theta20)
-    eigen = {
-        "phi1": (c1, s1, 0.0, 0.0),
-        "phi2": (-s1, c1, 0.0, 0.0),
-        "phi3": (0.0, 0.0, c2, s2),
-        "phi4": (0.0, 0.0, -s2, c2),
-    }
-    return tuple(complex(v) for v in eigen[cfg.initial])
-
-
-def _eigen_mixtures(
-    initial: tuple[complex, complex, complex, complex], theta10: float, theta20: float
-) -> tuple[complex, complex, complex, complex]:
-    """Project uncoupled amplitudes onto the canonical eigenstate pairs."""
-    a, b, c, d = initial
-    c1, s1 = math.cos(theta10), math.sin(theta10)
-    c2, s2 = math.cos(theta20), math.sin(theta20)
-    return (
-        a * c1 + b * s1,
-        -a * s1 + b * c1,
-        c * c2 + d * s2,
-        -c * s2 + d * c2,
-    )
+    """Project the initial state onto the canonical eigenstate pairs."""
+    a, b, c, d = cfg.initial_amplitudes(theta10, theta20)
+    return _mixing_pair(a, b, theta10) + _mixing_pair(c, d, theta20)
 
 
 def _finish(
@@ -209,9 +163,8 @@ def _superpose(
 
 
 def _trace_ic1(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
-    setup, params, convention = build_ic1(cfg.data["ic1"])
-    initial = _initial_uncoupled(cfg, setup.theta10, setup.theta20)
-    mixtures = _eigen_mixtures(initial, setup.theta10, setup.theta20)
+    setup, params, convention = cfg.setup
+    mixtures = _eigen_mixtures(cfg, setup.theta10, setup.theta20)
     amps = _superpose(
         times, mixtures, lambda phi: ic1_evolve(setup, params, times, phi, convention)
     )
@@ -219,9 +172,8 @@ def _trace_ic1(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
 
 
 def _trace_ic2(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
-    setup = build_ic2(cfg.data["ic2"])
-    initial = _initial_uncoupled(cfg, setup.theta10, setup.theta20)
-    mixtures = _eigen_mixtures(initial, setup.theta10, setup.theta20)
+    setup = cfg.setup
+    mixtures = _eigen_mixtures(cfg, setup.theta10, setup.theta20)
     for pair, subspace in ((mixtures[:2], Subspace.ONE), (mixtures[2:], Subspace.TWO)):
         if any(m != 0 for m in pair):
             verdict = ic2_admissible(setup, subspace)
@@ -232,18 +184,17 @@ def _trace_ic2(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
 
 
 def _trace_rwa(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
-    setup = build_rwa(cfg.data["rwa"])
-    initial = _initial_uncoupled(cfg, setup.theta10, 0.0)
-    if initial[2] != 0 or initial[3] != 0:
+    setup = cfg.setup
+    mixtures = _eigen_mixtures(cfg, setup.theta10, 0.0)
+    if mixtures[2] != 0 or mixtures[3] != 0:
         raise ConfigError("rwa mode supports subspace-I initial states only")
-    mixtures = _eigen_mixtures(initial, setup.theta10, 0.0)
     evolve = {"phi1": rwa_evolve, "phi2": rwa_orthogonal}
     amps = _superpose(times, mixtures, lambda phi: evolve[phi](setup, times))
     return _finish(times, amps, copy.deepcopy(cfg.data), _ANALYTIC_NORM_TOL)
 
 
 def _trace_perturbation(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
-    omega_plus, drive_profile = build_perturbation(cfg.data["perturbation"])
+    omega_plus, drive_profile = cfg.setup
     if cfg.initial != "pp":
         raise ConfigError("perturbation mode requires initial_state: pp")
     amps = np.zeros((times.size, 4), dtype=complex)
@@ -253,16 +204,13 @@ def _trace_perturbation(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
     return _finish(times, amps, copy.deepcopy(cfg.data), None)
 
 
-def _trace_numeric(
-    cfg: RunConfig, times: np.ndarray, step_override: float | None
-) -> EvolutionTrace:
-    params, cfg_step = build_numeric(cfg.data["numeric"])
-    step = step_override if step_override is not None else cfg_step
+def _trace_numeric(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
+    params, step = cfg.setup
     if step is None:
         step = suggest_step(params, cfg.t_end)
     theta10 = spectrum(params, 0.0, Subspace.ONE).theta
     theta20 = spectrum(params, 0.0, Subspace.TWO).theta
-    initial = _initial_uncoupled(cfg, theta10, theta20)
+    initial = cfg.initial_amplitudes(theta10, theta20)
     trace = integrate_full(
         params, initial, cfg.t_end, IntegratorConfig(step=step), sample_times=times
     )
@@ -271,26 +219,18 @@ def _trace_numeric(
     return _finish(trace.times, trace.amplitudes, echo, None)
 
 
-def compute_trace(cfg: RunConfig, step_override: float | None = None) -> EvolutionTrace:
+def compute_trace(cfg: RunConfig) -> EvolutionTrace:
     """Evaluate one run request on its sample grid.
-
-    ``step_override`` replaces the integrator step and applies to
-    numeric mode only.
 
     Raises
     ------
     ConfigError
-        On mode/initial-state mismatches or a step override outside
-        numeric mode.
+        On mode/initial-state mismatches, or a numeric run over the RK4
+        step budget.
     AdmissibilityError
         If a rate-matched run violates its branch-confinement
         inequality.
     """
-    if step_override is not None:
-        if cfg.mode != "numeric":
-            raise ConfigError("--step applies to numeric mode only")
-        if step_override <= 0.0:
-            raise ConfigError("--step must be positive")
     times = np.linspace(0.0, cfg.t_end, cfg.samples)
     if cfg.mode == "ic1":
         return _trace_ic1(cfg, times)
@@ -300,7 +240,7 @@ def compute_trace(cfg: RunConfig, step_override: float | None = None) -> Evoluti
         return _trace_rwa(cfg, times)
     if cfg.mode == "perturbation":
         return _trace_perturbation(cfg, times)
-    return _trace_numeric(cfg, times, step_override)
+    return _trace_numeric(cfg, times)
 
 
 def dominant_frequency(times: Sequence[float], values: Sequence[float]) -> float:
@@ -324,11 +264,9 @@ def trace_stats(trace: EvolutionTrace) -> dict[str, float]:
     }
 
 
-def run_single(
-    cfg: RunConfig, outdir: Path, step_override: float | None = None
-) -> Path:
+def run_single(cfg: RunConfig, outdir: Path) -> Path:
     """Execute one run and write ``<outdir>/<name>.csv``."""
-    trace = compute_trace(cfg, step_override)
+    trace = compute_trace(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{cfg.name}.csv"
     trace.to_csv(path)
@@ -336,22 +274,18 @@ def run_single(
 
 
 def _sweep_point(
-    base: RunConfig, value: float, step_override: float | None, outdir: Path
+    base: RunConfig, value: float, outdir: Path
 ) -> tuple[float, dict[str, float], Path]:
     data = apply_sweep_value(base.data, base.sweep.parameter, value)
     data["name"] = f"{base.name}_{value:g}"
     cfg = parse_config(data, data["name"])
-    trace = compute_trace(cfg, step_override)
+    trace = compute_trace(cfg)
     path = outdir / f"{cfg.name}.csv"
     trace.to_csv(path)
     return value, trace_stats(trace), path
 
 
-def run_sweep(
-    cfg: RunConfig,
-    outdir: Path,
-    step_override: float | None = None,
-) -> list[Path]:
+def run_sweep(cfg: RunConfig, outdir: Path) -> list[Path]:
     """Execute each sweep point in turn and write the summary.
 
     Point traces land next to the summary as ``<name>_<value>.csv``;
@@ -361,7 +295,7 @@ def run_sweep(
         raise ConfigError("config has no sweep block; use 'simulate run'")
     outdir.mkdir(parents=True, exist_ok=True)
     results = sorted(
-        (_sweep_point(cfg, value, step_override, outdir) for value in cfg.sweep.values),
+        (_sweep_point(cfg, value, outdir) for value in cfg.sweep.values),
         key=lambda item: item[0],
     )
     lines = [f"# {key}: {val}" for key, val in _flatten_echo(cfg.data)]
@@ -399,9 +333,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--output", type=Path, default=Path("."), help="output directory (default: .)"
     )
-    sub.add_argument(
-        "--step", type=float, default=None, help="integrator step override (numeric mode)"
-    )
 
 
 @functools.cache
@@ -431,10 +362,10 @@ def _dispatch(args: argparse.Namespace) -> list[Path]:
         cfg = load_config(args.config)
         if cfg.sweep is not None:
             raise ConfigError("config contains a sweep block; use 'simulate sweep'")
-        return [run_single(cfg, args.output, args.step)]
+        return [run_single(cfg, args.output)]
     if args.command == "sweep":
         cfg = load_config(args.config)
-        return run_sweep(cfg, args.output, args.step)
+        return run_sweep(cfg, args.output)
     if args.list:
         for preset_id in preset_ids():
             print(preset_id)
@@ -446,9 +377,9 @@ def _dispatch(args: argparse.Namespace) -> list[Path]:
     for preset_id in ids:
         cfg = load_preset(preset_id)
         if cfg.sweep is not None:
-            written.extend(run_sweep(cfg, args.output, args.step))
+            written.extend(run_sweep(cfg, args.output))
         else:
-            written.append(run_single(cfg, args.output, args.step))
+            written.append(run_single(cfg, args.output))
     return written
 
 

@@ -51,18 +51,23 @@ __all__ = [
 ]
 
 MODES = ("ic1", "ic2", "rwa", "perturbation", "numeric")
-NAMED_STATES = (
-    "pp",
-    "mm",
-    "pm",
-    "mp",
-    "bell_s",
-    "bell_a",
-    "phi1",
-    "phi2",
-    "phi3",
-    "phi4",
-)
+
+_ROOT2 = math.sqrt(0.5)
+# uncoupled amplitudes of each named state from (c1, s1, c2, s2), the
+# cosines and sines of the frozen mixing angles theta10 and theta20
+_NAMED_AMPLITUDES = {
+    "pp": lambda c1, s1, c2, s2: (1.0, 0.0, 0.0, 0.0),
+    "mm": lambda c1, s1, c2, s2: (0.0, 1.0, 0.0, 0.0),
+    "pm": lambda c1, s1, c2, s2: (0.0, 0.0, 1.0, 0.0),
+    "mp": lambda c1, s1, c2, s2: (0.0, 0.0, 0.0, 1.0),
+    "bell_s": lambda c1, s1, c2, s2: (_ROOT2, _ROOT2, 0.0, 0.0),
+    "bell_a": lambda c1, s1, c2, s2: (_ROOT2, -_ROOT2, 0.0, 0.0),
+    "phi1": lambda c1, s1, c2, s2: (c1, s1, 0.0, 0.0),
+    "phi2": lambda c1, s1, c2, s2: (-s1, c1, 0.0, 0.0),
+    "phi3": lambda c1, s1, c2, s2: (0.0, 0.0, c2, s2),
+    "phi4": lambda c1, s1, c2, s2: (0.0, 0.0, -s2, c2),
+}
+NAMED_STATES = tuple(_NAMED_AMPLITUDES)
 
 _STATE_NORM_TOL = 1e-9
 
@@ -81,6 +86,8 @@ class RunConfig:
 
     ``data`` holds the full effective config mapping; it is echoed
     verbatim into output headers so every artifact names its inputs.
+    ``setup`` is what the ``build_*`` function of the mode returns for
+    its section.
     """
 
     name: str
@@ -90,6 +97,20 @@ class RunConfig:
     samples: int
     sweep: SweepSpec | None
     data: dict[str, Any]
+    setup: Any
+
+    def initial_amplitudes(
+        self, theta10: float, theta20: float
+    ) -> tuple[complex, complex, complex, complex]:
+        """Uncoupled-order amplitudes of the initial state.
+
+        ``phi1``..``phi4`` are the eigenstates at the frozen mixing
+        angles ``theta10`` (subspace I) and ``theta20`` (subspace II).
+        """
+        if isinstance(self.initial, tuple):
+            return self.initial
+        trig = (math.cos(theta10), math.sin(theta10), math.cos(theta20), math.sin(theta20))
+        return tuple(complex(v) for v in _NAMED_AMPLITUDES[self.initial](*trig))
 
 
 def _require_mapping(node: Any, where: str) -> dict:
@@ -224,7 +245,11 @@ def parse_config(data: Any, name: str) -> RunConfig:
     if not isinstance(cfg_name, str) or not cfg_name:
         raise ConfigError("name must be a nonempty string")
     sweep = _parse_sweep(mapping["sweep"]) if "sweep" in mapping else None
-    cfg = RunConfig(
+    setup = _BUILDERS[mode](mapping[mode])
+    if sweep is not None:
+        # the path must resolve against this very config
+        apply_sweep_value(mapping, sweep.parameter, sweep.values[0])
+    return RunConfig(
         name=cfg_name,
         mode=mode,
         initial=initial,
@@ -232,13 +257,8 @@ def parse_config(data: Any, name: str) -> RunConfig:
         samples=samples_raw,
         sweep=sweep,
         data=mapping,
+        setup=setup,
     )
-    # build the mode section once so schema errors surface at parse time
-    _BUILDERS[mode](mapping[mode])
-    if sweep is not None:
-        # the path must resolve against this very config
-        apply_sweep_value(mapping, sweep.parameter, sweep.values[0])
-    return cfg
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -409,8 +429,8 @@ def build_numeric(section: Any) -> tuple[ModelParams, float | None]:
     Either the five primitive profiles (``lambda_x``, ``lambda_y``,
     ``lambda_z``, ``omega_1``, ``omega_2``) or any of the derived ones
     (``omega_plus``, ``omega_minus``, ``lambda_m``, ``lambda_p``,
-    ``lambda_z``; omitted means zero).  Optional ``step`` overrides the
-    integrator step.
+    ``lambda_z``; omitted means zero).  Optional ``step`` sets the
+    integrator step (default: :func:`spinpair.oracle.suggest_step`).
     """
     mapping = _require_mapping(section, "numeric")
     step = None

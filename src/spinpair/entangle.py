@@ -27,7 +27,6 @@ __all__ = [
     "basis_convert",
     "concurrence_pure",
     "concurrence_wootters",
-    "concurrence_subspace_I",
     "concurrence_generic",
     "concurrence_ic1",
     "concurrence_ic2",
@@ -203,27 +202,6 @@ def _mixing_pair(u: complex, v: complex, theta0: float) -> tuple[complex, comple
     # projections of initial amplitudes (u, v) on the frozen eigenpair
     c0, s0 = math.cos(theta0), math.sin(theta0)
     return u * c0 + v * s0, -u * s0 + v * c0
-
-
-def concurrence_subspace_I(
-    a: complex, b: complex, x: BlockAmplitudes, y: BlockAmplitudes, theta10: float
-) -> float:
-    """Concurrence of a subspace-I state assembled from propagated pairs.
-
-    ``(a, b)`` are the initial amplitudes on ``{|++>, |-->}``
-    (``|a|^2 + |b|^2 = 1``); ``x`` and ``y`` the propagated eigenstate
-    pairs.  With ``alpha = a cos(theta10) + b sin(theta10)`` and
-    ``beta = -a sin(theta10) + b cos(theta10)``:
-
-    ``C = 2|alpha^2 x1 x2 + beta^2 y1 y2 + alpha beta (x1 y2 + x2 y1)|``.
-    """
-    alpha, beta = _mixing_pair(a, b, theta10)
-    val = (
-        alpha * alpha * x.a1 * x.a2
-        + beta * beta * y.a1 * y.a2
-        + alpha * beta * (x.a1 * y.a2 + x.a2 * y.a1)
-    )
-    return 2.0 * abs(val)
 
 
 def concurrence_generic(

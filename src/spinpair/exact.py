@@ -562,10 +562,14 @@ def ic2_breakpoints(
     sinus = _coupling_sinusoid(profile)
     if sinus is not None:
         mu, beta, phi = sinus
-        # cos(2*theta(t)) = c0 - (2*rate*mu/beta)*(cos(phi) - cos(beta*t + phi))
-        scale = beta / (2.0 * rate * mu)
+        # cos(2*theta(t)) = c0 - (2*rate*mu/beta)*(cos(phi) - cos(beta*t + phi));
+        # a product 2*rate*mu that underflows to 0 means an infinite scale
+        denom = 2.0 * rate * mu
+        scale = beta / denom if denom != 0.0 else math.inf
         for edge in (1.0, -1.0):
-            target = math.cos(phi) + (edge - c0) * scale
+            # the shift is 0 at edge == c0 for every scale, also an infinite one
+            shift = 0.0 if edge == c0 else (edge - c0) * scale
+            target = math.cos(phi) + shift
             if abs(target) > 1.0:
                 if abs(target) > 1.0 + _BRANCH_SLACK:
                     continue
@@ -588,9 +592,11 @@ def ic2_breakpoints(
             raise ConfigError(
                 "breakpoints require a pure sinusoidal or constant coupling"
             )
-        if offset != 0.0:
+        speed = 2.0 * rate * offset
+        # a speed that underflows to 0 never reaches an edge
+        if speed != 0.0:
             for edge in (1.0, -1.0):
-                tt = (c0 - edge) / (2.0 * rate * offset)
+                tt = (c0 - edge) / speed
                 if 0.0 < tt < t_end:
                     out.append(tt)
     out.sort()

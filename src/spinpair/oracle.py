@@ -25,8 +25,7 @@ from .model import ModelParams, Subspace
 
 __all__ = [
     "IntegratorConfig",
-    "BlockTrace",
-    "FullTrace",
+    "Trace",
     "suggest_step",
     "integrate_block",
     "integrate_full",
@@ -35,6 +34,8 @@ __all__ = [
 ]
 
 _METHODS = ("rk4_fixed", "rk4_doubling")
+# RK4 steps one march may take: about 100x the largest test run
+_MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -62,21 +63,14 @@ class IntegratorConfig:
 
 
 @dataclass(frozen=True)
-class BlockTrace:
-    """Sampled 2-amplitude evolution."""
+class Trace:
+    """Sampled evolution of one block (2 amplitudes) or of the full state.
+
+    The full state has 4 amplitudes in uncoupled order.
+    """
 
     times: np.ndarray
-    amplitudes: np.ndarray  # shape (n, 2), complex
-    norm_drift: float
-    error_estimate: float | None = None
-
-
-@dataclass(frozen=True)
-class FullTrace:
-    """Sampled 4-amplitude evolution (uncoupled order)."""
-
-    times: np.ndarray
-    amplitudes: np.ndarray  # shape (n, 4), complex
+    amplitudes: np.ndarray  # shape (n, 2) or (n, 4), complex
     norm_drift: float
     error_estimate: float | None = None
 
@@ -124,7 +118,20 @@ def _march(step_fn, y0, events, is_sample, cfg: IntegratorConfig):
 
     step_fn(y, a, b, n) advances state tuple y from a to b in n steps.
     Returns (samples array, norm drift, error estimate or None).
+
+    Raises
+    ------
+    ConfigError
+        If the march needs more than ``_MAX_STEPS`` steps.
     """
+    counts = np.maximum(1.0, np.ceil(np.diff(events) / cfg.step))
+    total = float(np.sum(counts))
+    # written so that a NaN count fails too
+    if not total <= _MAX_STEPS:
+        raise ConfigError(
+            f"RK4 march needs {total:.3e} steps, over the step budget of {_MAX_STEPS:.0e}; "
+            "raise the step or shorten the run"
+        )
     dim = len(y0)
     n_samples = int(np.count_nonzero(is_sample))
     out = np.empty((n_samples, dim), dtype=complex)
@@ -140,7 +147,7 @@ def _march(step_fn, y0, events, is_sample, cfg: IntegratorConfig):
 
     for k in range(1, len(events)):
         a, b = float(events[k - 1]), float(events[k])
-        n = max(1, math.ceil((b - a) / cfg.step))
+        n = int(counts[k - 1])
         y_next = step_fn(y, a, b, n)
         if estimate is not None:
             y_half = step_fn(y, a, b, 2 * n)
@@ -168,7 +175,7 @@ def integrate_block(
     t_end: float,
     cfg: IntegratorConfig,
     sample_times: Sequence[float] | None = None,
-) -> BlockTrace:
+) -> Trace:
     """RK4 propagation of one 2x2 block of the Hamiltonian."""
     coeffs = params.block_terms(subspace)
     events, is_sample = _event_grid(t_end, sample_times, ())
@@ -177,7 +184,7 @@ def integrate_block(
         return _kernels.rk4_block_profiles(coeffs, y[0], y[1], a, b, n)
 
     out, drift, est = _march(step, tuple(initial), events, is_sample, cfg)
-    return BlockTrace(events[is_sample], out, drift, est)
+    return Trace(events[is_sample], out, drift, est)
 
 
 def integrate_full(
@@ -186,7 +193,7 @@ def integrate_full(
     t_end: float,
     cfg: IntegratorConfig,
     sample_times: Sequence[float] | None = None,
-) -> FullTrace:
+) -> Trace:
     """RK4 propagation of the full 4-amplitude state (uncoupled order).
 
     The Hamiltonian is block diagonal, so each step advances the two
@@ -204,7 +211,7 @@ def integrate_full(
         return upper + _kernels.rk4_block_profiles(two, y[2], y[3], a, b, n)
 
     out, drift, est = _march(step, tuple(initial), events, is_sample, cfg)
-    return FullTrace(events[is_sample], out, drift, est)
+    return Trace(events[is_sample], out, drift, est)
 
 
 def integrate_block_fn(
@@ -214,7 +221,7 @@ def integrate_block_fn(
     cfg: IntegratorConfig,
     sample_times: Sequence[float] | None = None,
     breakpoints: Iterable[float] = (),
-) -> BlockTrace:
+) -> Trace:
     """RK4 propagation of a generic 2x2 Hermitian Hamiltonian callable.
 
     ``hfun(t)`` must return a 2x2 indexable.  ``breakpoints`` marks times
@@ -237,7 +244,7 @@ def integrate_block_fn(
         return _kernels.rk4_clamped(deriv, y[0], y[1], a, b, n)
 
     out, drift, est = _march(step, tuple(initial), events, is_sample, cfg)
-    return BlockTrace(events[is_sample], out, drift, est)
+    return Trace(events[is_sample], out, drift, est)
 
 
 def integrate_block_ic2(
@@ -247,7 +254,7 @@ def integrate_block_ic2(
     cfg: IntegratorConfig,
     sample_times: Sequence[float] | None = None,
     breakpoints: Iterable[float] = (),
-) -> BlockTrace:
+) -> Trace:
     """RK4 propagation against the rate-matched derived field kernel.
 
     ``coeffs`` comes from :func:`spinpair.exact.ic2_kernel_coeffs`;
@@ -276,4 +283,4 @@ def integrate_block_ic2(
         return _kernels.rk4_block_ic2(coeffs, y[0], y[1], a, b, n)
 
     out, drift, est = _march(step, tuple(initial), events, is_sample, cfg)
-    return BlockTrace(events[is_sample], out, drift, est)
+    return Trace(events[is_sample], out, drift, est)

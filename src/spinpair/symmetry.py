@@ -18,7 +18,6 @@ from .entangle import Basis, FourState
 from .model import ModelParams
 
 __all__ = [
-    "SymmetryOp",
     "Parity",
     "parity",
     "map_params_I_to_II",
@@ -26,14 +25,6 @@ __all__ = [
     "map_params_global_flip",
     "map_state_global_flip",
 ]
-
-
-class SymmetryOp(Enum):
-    """The three discrete symmetries; each is an involution."""
-
-    SPIN_REFLECTION_XY = "spin_reflection_xy"
-    SUBSPACE_SWAP = "subspace_swap"
-    GLOBAL_FLIP = "global_flip"
 
 
 class Parity(Enum):

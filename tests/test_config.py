@@ -127,6 +127,56 @@ def test_named_states_cover_eigenstates():
     assert set(NAMED_STATES) >= {"pp", "mm", "pm", "mp", "bell_s", "bell_a", "phi1", "phi4"}
 
 
+def test_initial_amplitudes_of_named_and_explicit_states():
+    c1, s1, c2, s2 = math.cos(0.3), math.sin(0.3), math.cos(0.7), math.sin(0.7)
+    expected = {
+        "pp": (1, 0, 0, 0),
+        "bell_a": (math.sqrt(0.5), -math.sqrt(0.5), 0, 0),
+        "phi2": (-s1, c1, 0, 0),
+        "phi3": (0, 0, c2, s2),
+    }
+    for name, amps in expected.items():
+        cfg = parse_config(minimal_ic1(initial_state=name), "stem")
+        assert cfg.initial_amplitudes(0.3, 0.7) == tuple(complex(v) for v in amps)
+    explicit = parse_config(minimal_ic1(initial_state=[0.0, 1.0, 0.0, 0.0]), "stem")
+    assert explicit.initial_amplitudes(0.3, 0.7) == (0j, 1 + 0j, 0j, 0j)
+
+
+SECTIONS = {
+    "ic1": minimal_ic1()["ic1"],
+    "ic2": {"kappa": 0.1, "theta10": 0.4, "lambda_m": dict(SINUSOID_NODE)},
+    "rwa": {
+        "mode": "field_drive",
+        "static_value": 0.7,
+        "drive": dict(SINUSOID_NODE),
+        "theta10": 0.5,
+    },
+    "perturbation": {
+        "omega_plus": 5.0,
+        "drive": {"kind": "sinusoid", "amplitude": 0.25, "frequency": 10.5},
+    },
+    "numeric": {"omega_plus": dict(SINUSOID_NODE), "step": 1e-3},
+}
+BUILDERS = {
+    "ic1": build_ic1,
+    "ic2": build_ic2,
+    "rwa": build_rwa,
+    "perturbation": build_perturbation,
+    "numeric": build_numeric,
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SECTIONS))
+def test_parse_config_keeps_built_section(mode):
+    data = {
+        "mode": mode,
+        "initial_state": "pp",
+        "time": {"t_end": 1.0, "samples": 11},
+        mode: SECTIONS[mode],
+    }
+    assert parse_config(data, "stem").setup == BUILDERS[mode](SECTIONS[mode])
+
+
 # --- sweeps -----------------------------------------------------------------
 
 def test_sweep_parsing_and_application():

@@ -14,7 +14,6 @@ from spinpair.entangle import (
     concurrence_ic1,
     concurrence_ic2,
     concurrence_pure,
-    concurrence_subspace_I,
     concurrence_wootters,
     spin_flip_matrix,
 )
@@ -161,22 +160,6 @@ def synthetic_pairs(rng, theta0):
     )
 
 
-def test_subspace_formula_matches_assembled_state(rng):
-    for _ in range(10):
-        theta10 = rng.uniform(0.0, 0.5 * math.pi)
-        x, y = synthetic_pairs(rng, theta10)
-        ab = rng.normal(size=2) + 1j * rng.normal(size=2)
-        ab = ab / np.linalg.norm(ab)
-        alpha = ab[0] * math.cos(theta10) + ab[1] * math.sin(theta10)
-        beta = -ab[0] * math.sin(theta10) + ab[1] * math.cos(theta10)
-        f0 = alpha * x.a1 + beta * y.a1
-        f1 = alpha * x.a2 + beta * y.a2
-        assembled = concurrence_pure(FourState.uncoupled(f0, f1, 0.0, 0.0))
-        assert concurrence_subspace_I(ab[0], ab[1], x, y, theta10) == pytest.approx(
-            assembled, abs=1e-12
-        )
-
-
 def test_generic_formula_matches_assembled_state(rng):
     for _ in range(10):
         theta10 = rng.uniform(0.0, 0.5 * math.pi)
@@ -221,7 +204,7 @@ def test_concurrence_ic1_matches_assembled_evolution(kind, t):
     x = ic1_evolve(setup, params, t, "phi1")
     y = ic1_evolve(setup, params, t, "phi2")
     a, b = INITIAL_AB[kind]
-    assembled = concurrence_subspace_I(a, b, x, y, setup.theta10)
+    assembled = concurrence_generic(a, b, 0, 0, x, y, x, y, setup.theta10, 0.0)
     # reduced form depends on the splitting phase only through pi-periodic terms
     ph1 = ic1_phase(setup, params, t, 1)
     ph2 = ic1_phase(setup, params, t, 2)
@@ -236,7 +219,7 @@ def test_concurrence_ic2_matches_assembled_evolution(kind, t):
     x = ic2_evolve(setup, t, "phi1")
     y = ic2_evolve(setup, t, "phi2")
     a, b = INITIAL_AB[kind]
-    assembled = concurrence_subspace_I(a, b, x, y, setup.theta10)
+    assembled = concurrence_generic(a, b, 0, 0, x, y, x, y, setup.theta10, 0.0)
     assert concurrence_ic2(kind, setup, t) == pytest.approx(assembled, abs=1e-12)
 
 

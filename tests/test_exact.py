@@ -352,6 +352,17 @@ def test_ic2_breakpoints_edge_start():
         assert ic2_theta(EDGE_START, tt) < 1e-6
 
 
+@pytest.mark.parametrize("theta10,coupling,expected", [
+    (1.0, Sinusoid(1e-300, 1.0), []),
+    (0.0, Sinusoid(1e-300, 1.0), [2.0 * math.pi]),
+    (1.0, Constant(1e-300), []),
+])
+def test_ic2_breakpoints_underflowing_rate(theta10, coupling, expected):
+    # 2*kappa*mu underflows to 0: an infinite scale, not a ZeroDivisionError
+    setup = IC2Setup(kappa=1e-150, theta10=theta10, lambda_m=coupling)
+    assert ic2_breakpoints(setup, 10.0) == expected
+
+
 def test_ic2_breakpoints_interior_drive_has_none():
     assert ic2_breakpoints(INTERIOR, 2.0) == []
 

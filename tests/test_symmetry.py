@@ -10,7 +10,6 @@ from spinpair.model import ModelParams, Subspace, block
 from spinpair.oracle import IntegratorConfig, integrate_full
 from spinpair.symmetry import (
     Parity,
-    SymmetryOp,
     map_params_global_flip,
     map_params_I_to_II,
     map_state_global_flip,
@@ -30,10 +29,6 @@ PARAMS = ModelParams(
 def random_state(rng):
     f = rng.normal(size=4) + 1j * rng.normal(size=4)
     return f / np.linalg.norm(f)
-
-
-def test_symmetry_ops_enumerated():
-    assert len(SymmetryOp) == 3
 
 
 def test_parity_labels():

@@ -6,10 +6,10 @@ diagonal in parity, so everything reduces to two 2x2 blocks: closed
 propagators exist when each block's coupling tracks its field
 (:class:`IC1Setup`) or when the mixing angle rotates at a rate matched
 to the splitting (:class:`IC2Setup`); rotating-wave and first-order
-treatments cover near-resonant sinusoidal drives; a fixed-step RK4
-oracle integrates anything.  Entanglement comes as pure-state and
-Wootters concurrence plus closed forms for the standard initial
-states.  The ``simulate`` console script runs configs, parameter
+treatments cover near-resonant sinusoidal drives; a Magnus-4
+propagator integrates any drive set, checked against a fixed-step RK4
+oracle.  Entanglement comes as pure-state and Wootters concurrence plus
+closed forms for the standard initial states.  The ``simulate`` console script runs configs, parameter
 sweeps and packaged figure presets.
 """
 
@@ -97,6 +97,7 @@ from .oracle import (
     integrate_block_fn,
     integrate_block_ic2,
     integrate_full,
+    magnus_full,
     suggest_step,
 )
 from .symmetry import (
@@ -186,6 +187,7 @@ __all__ = [
     "integrate_full",
     "integrate_block_fn",
     "integrate_block_ic2",
+    "magnus_full",
     # configuration
     "RunConfig",
     "SweepSpec",

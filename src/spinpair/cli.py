@@ -36,7 +36,7 @@ from .entangle import _mixing_pair, concurrence_pure
 from .errors import AdmissibilityError, ConfigError, NormDriftError, SpinpairError
 from .exact import BlockAmplitudes, ic1_evolve, ic2_admissible, ic2_evolve
 from .model import Subspace, spectrum
-from .oracle import IntegratorConfig, integrate_full, suggest_step
+from .oracle import IntegratorConfig, magnus_full, suggest_step
 
 __all__ = [
     "CSV_COLUMNS",
@@ -211,7 +211,7 @@ def _trace_numeric(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
     theta10 = spectrum(params, 0.0, Subspace.ONE).theta
     theta20 = spectrum(params, 0.0, Subspace.TWO).theta
     initial = cfg.initial_amplitudes(theta10, theta20)
-    trace = integrate_full(
+    trace = magnus_full(
         params, initial, cfg.t_end, IntegratorConfig(step=step), sample_times=times
     )
     echo = copy.deepcopy(cfg.data)
@@ -225,8 +225,8 @@ def compute_trace(cfg: RunConfig) -> EvolutionTrace:
     Raises
     ------
     ConfigError
-        On mode/initial-state mismatches, or a numeric run over the RK4
-        step budget.
+        On mode/initial-state mismatches, or a numeric run over the
+        step budget or with a step too long for its drives.
     AdmissibilityError
         If a rate-matched run violates its branch-confinement
         inequality.

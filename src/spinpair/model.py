@@ -148,7 +148,7 @@ class ModelParams:
         return self._block(subspace, drive.integral, t)
 
     def block_terms(self, subspace: Subspace) -> tuple[float, ...]:
-        """One block as the 21 floats the RK4 kernels step with.
+        """One block as the 21 floats the RK4 and Magnus kernels step with.
 
         Field, coupling and ``4*z`` as two-term drives
         ``(a1, b1, p1, a2, b2, p2, off)``, each meaning

@@ -1,13 +1,15 @@
-"""Numerical reference propagation (fixed-step RK4).
+"""Numerical propagation: fixed-step RK4 (the oracle) and Magnus-4.
 
-This module provides the independent check against which the analytic
-propagators are validated.  It never renormalizes the state: norm drift
-is the integration-quality diagnostic, and a drift beyond the configured
-tolerance raises :class:`NormDriftError`.
+The RK4 integrators are the independent check against which the
+analytic propagators, and :func:`magnus_full`, are validated.
+:func:`magnus_full` is numeric mode's production path.  Neither
+renormalizes the state: norm drift is the integration-quality
+diagnostic, and a drift beyond the configured tolerance raises
+:class:`NormDriftError`.
 
 Integration marches through the merged, sorted set of sample times and
 drive breakpoints, so every requested output time is hit exactly (no
-interpolation) and discontinuities of the drive never fall inside an RK4
+interpolation) and discontinuities of the drive never fall inside a
 step.
 """
 
@@ -31,11 +33,15 @@ __all__ = [
     "integrate_full",
     "integrate_block_fn",
     "integrate_block_ic2",
+    "magnus_full",
 ]
 
 _METHODS = ("rk4_fixed", "rk4_doubling")
 # RK4 steps one march may take: about 100x the largest test run
 _MAX_STEPS = 10**7
+# step times the Hamiltonian norm bound that magnus_full accepts: inside
+# the Magnus convergence radius pi
+_MAX_STEP_NORM = 1.0
 
 
 @dataclass(frozen=True)
@@ -54,11 +60,12 @@ class IntegratorConfig:
     norm_tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.step <= 0.0:
+        # written so that NaN fails too
+        if not self.step > 0.0:
             raise ValueError("step must be positive")
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}; use one of {_METHODS}")
-        if self.norm_tolerance <= 0.0:
+        if not self.norm_tolerance > 0.0:
             raise ValueError("norm_tolerance must be positive")
 
 
@@ -113,6 +120,34 @@ def _norm2(y) -> float:
         return math.inf
 
 
+def _step_counts(events: np.ndarray, step: float) -> np.ndarray:
+    """Steps per event segment: each no longer than ``step``, at least one.
+
+    Raises
+    ------
+    ConfigError
+        If the segments need more than ``_MAX_STEPS`` steps in all.
+    """
+    counts = np.maximum(1.0, np.ceil(np.diff(events) / step))
+    total = float(np.sum(counts))
+    # written so that a NaN count fails too
+    if not total <= _MAX_STEPS:
+        raise ConfigError(
+            f"the march needs {total:.3e} steps, over the step budget of {_MAX_STEPS:.0e}; "
+            "raise the step or shorten the run"
+        )
+    return counts.astype(np.int64)
+
+
+def _check_drift(drift: float, cfg: IntegratorConfig) -> None:
+    # written so that a NaN drift fails too
+    if not drift <= cfg.norm_tolerance:
+        raise NormDriftError(
+            f"norm drift {drift:.3e} exceeds tolerance {cfg.norm_tolerance:.3e}; "
+            "reduce the step"
+        )
+
+
 def _march(step_fn, y0, events, is_sample, cfg: IntegratorConfig):
     """Generic march over event segments.
 
@@ -124,14 +159,7 @@ def _march(step_fn, y0, events, is_sample, cfg: IntegratorConfig):
     ConfigError
         If the march needs more than ``_MAX_STEPS`` steps.
     """
-    counts = np.maximum(1.0, np.ceil(np.diff(events) / cfg.step))
-    total = float(np.sum(counts))
-    # written so that a NaN count fails too
-    if not total <= _MAX_STEPS:
-        raise ConfigError(
-            f"RK4 march needs {total:.3e} steps, over the step budget of {_MAX_STEPS:.0e}; "
-            "raise the step or shorten the run"
-        )
+    counts = _step_counts(events, cfg.step)
     dim = len(y0)
     n_samples = int(np.count_nonzero(is_sample))
     out = np.empty((n_samples, dim), dtype=complex)
@@ -160,11 +188,7 @@ def _march(step_fn, y0, events, is_sample, cfg: IntegratorConfig):
             d = abs(_norm2(y) - norm0)
             # max() drops a NaN second argument; a NaN drift must stick
             drift = d if math.isnan(d) else max(drift, d)
-    if not drift <= cfg.norm_tolerance:
-        raise NormDriftError(
-            f"norm drift {drift:.3e} exceeds tolerance {cfg.norm_tolerance:.3e}; "
-            "reduce the step"
-        )
+    _check_drift(drift, cfg)
     return out, drift, estimate
 
 
@@ -284,3 +308,64 @@ def integrate_block_ic2(
 
     out, drift, est = _march(step, tuple(initial), events, is_sample, cfg)
     return Trace(events[is_sample], out, drift, est)
+
+
+def _norm_bound(coeffs: Sequence[float]) -> float:
+    """Bound of the spectral norm of a block over all t, from its kernel vector.
+
+    |z| + hypot(field, coupling), with each two-term drive bounded by the
+    sum of its amplitudes and offset.
+    """
+    field, coupling, diag = (
+        sum(abs(coeffs[base + k]) for k in (0, 3, 6)) for base in (0, 7, 14)
+    )
+    return math.hypot(field, coupling) + 0.25 * diag
+
+
+def magnus_full(
+    params: ModelParams,
+    initial: Sequence[complex],
+    t_end: float,
+    cfg: IntegratorConfig,
+    sample_times: Sequence[float] | None = None,
+) -> Trace:
+    """Magnus-4 propagation of the full 4-amplitude state (uncoupled order).
+
+    Numeric mode's path; the same event grid, step counts and step
+    budget as :func:`integrate_full`, with each block stepped by
+    :func:`spinpair._kernels.magnus_block_profiles`.  Magnus steps stay
+    unitary even where they mean nothing, so ``cfg.step`` times the
+    norm bound of either block must be below 1 (the Magnus convergence
+    radius is pi).  ``cfg.method`` must be ``rk4_fixed``: there is no
+    error estimate.
+
+    Raises
+    ------
+    ConfigError
+        On a step that is too long for the drives, a run over the step
+        budget, or ``rk4_doubling``.
+    NormDriftError
+        If the norm drifts beyond ``cfg.norm_tolerance`` (NaN included).
+    """
+    if cfg.method != "rk4_fixed":
+        raise ConfigError("magnus_full has no error estimate; use method rk4_fixed")
+    blocks = (params.block_terms(Subspace.ONE), params.block_terms(Subspace.TWO))
+    # np.max, not max(): a NaN bound must stick
+    bound = float(np.max([_norm_bound(c) for c in blocks]))
+    # written so that a NaN product is refused too
+    if not cfg.step * bound < _MAX_STEP_NORM:
+        raise ConfigError(
+            f"step {cfg.step:.3e} times the Hamiltonian norm bound {bound:.3e} is not "
+            f"below {_MAX_STEP_NORM:g}; reduce the step"
+        )
+    events, is_sample = _event_grid(t_end, sample_times, ())
+    counts = _step_counts(events, cfg.step)
+    y = [complex(v) for v in initial]
+    amps = np.empty((events.size, 4), dtype=complex)
+    amps[:, 0], amps[:, 1] = _kernels.magnus_block_profiles(blocks[0], y[0], y[1], events, counts)
+    amps[:, 2], amps[:, 3] = _kernels.magnus_block_profiles(blocks[1], y[2], y[3], events, counts)
+    out = amps[is_sample]
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = float(np.max(np.abs(np.sum(np.abs(out) ** 2, axis=1) - _norm2(y))))
+    _check_drift(drift, cfg)
+    return Trace(events[is_sample], out, drift)

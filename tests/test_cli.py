@@ -400,7 +400,8 @@ def test_overflowing_drive_fails_the_norm_check():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_main_numeric_nan_amplitudes_exit_2(tmp_path, capsys):
-    # the RK4 steps overflow to NaN; this wrote a CSV of nan and exited 0.
+    # the RK4 steps overflowed to NaN; this wrote a CSV of nan and exited 0.
+    # Magnus steps would stay unitary, so the step check refuses the run.
     # PyYAML reads 1.0e150 (no exponent sign) as a string, so 1.0e+150
     path = tmp_path / "huge.yaml"
     path.write_text(
@@ -413,7 +414,7 @@ def test_main_numeric_nan_amplitudes_exit_2(tmp_path, capsys):
     )
     outdir = tmp_path / "out"
     assert main(["run", str(path), "--output", str(outdir)]) == 2
-    assert "norm drift nan" in capsys.readouterr().err
+    assert "times the Hamiltonian norm bound" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
 
 

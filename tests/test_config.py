@@ -333,3 +333,21 @@ def test_load_config_errors(tmp_path):
     bad.write_text("mode: [unclosed", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(bad)
+
+
+def test_presets_load_alike_through_both_yaml_loaders(tmp_path, monkeypatch):
+    # the pure-Python SafeLoader is the fallback when PyYAML lacks libyaml
+    import yaml
+
+    from spinpair import config
+    from spinpair.cli import load_preset, preset_ids
+
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("mode: [unclosed", encoding="utf-8")
+    loaded = []
+    for loader in (config._YAML_LOADER, yaml.SafeLoader):
+        monkeypatch.setattr(config, "_YAML_LOADER", loader)
+        loaded.append([load_preset(preset) for preset in preset_ids()])
+        with pytest.raises(ConfigError, match="malformed YAML in"):
+            load_config(bad)
+    assert loaded[0] == loaded[1]

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from spinpair import _kernels
+from spinpair.config import build_ic1
 from spinpair.drive import Constant, Sinusoid
 from spinpair.errors import BranchExitError, ConfigError, NormDriftError
-from spinpair.exact import IC2Setup, ic2_breakpoints, ic2_kernel_coeffs
+from spinpair.exact import IC2Setup, ic1_evolve, ic2_breakpoints, ic2_kernel_coeffs
 from spinpair.model import ModelParams, Subspace
 from spinpair.oracle import (
     IntegratorConfig,
@@ -13,6 +15,7 @@ from spinpair.oracle import (
     integrate_block_fn,
     integrate_block_ic2,
     integrate_full,
+    magnus_full,
     suggest_step,
 )
 
@@ -139,9 +142,13 @@ def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(step=0.0)
     with pytest.raises(ValueError):
+        IntegratorConfig(step=math.nan)
+    with pytest.raises(ValueError):
         IntegratorConfig(step=1e-3, method="euler")
     with pytest.raises(ValueError):
         IntegratorConfig(step=1e-3, norm_tolerance=0.0)
+    with pytest.raises(ValueError):
+        IntegratorConfig(step=1e-3, norm_tolerance=math.nan)
 
 
 @pytest.mark.parametrize(
@@ -216,3 +223,124 @@ def test_integrate_block_ic2_checks_its_coeffs(coeffs):
     cfg = IntegratorConfig(step=1e-3)
     with pytest.raises(ConfigError, match="ic2 kernel coefficients"):
         integrate_block_ic2(coeffs, [1.0, 0.0], 0.5, cfg, sample_times=[0.0, 0.5])
+
+
+# --- Magnus-4 against the RK4 oracle ---------------------------------------
+
+PRIMITIVE = ModelParams(
+    lambda_x=Sinusoid(1.3, 50.0, 0.1),
+    lambda_y=Sinusoid(-0.4, 7.0, 0.2),
+    lambda_z=Sinusoid(0.5, 7.0, 0.1),
+    omega_1=Sinusoid(2.0, 13.0, 0.3),
+    omega_2=Constant(-0.7),
+)
+
+DERIVED = ModelParams.from_derived(
+    omega_plus=Sinusoid(3.0, 20.0, 0.3),
+    omega_minus=Sinusoid(1.5, 20.0, 0.3),
+    lambda_m=Sinusoid(1.2, 9.0, 0.1),
+    lambda_p=Sinusoid(-0.8, 9.0, 0.1),
+    lambda_z=Constant(0.6),
+)
+
+
+@pytest.mark.parametrize("params", [PRIMITIVE, DERIVED], ids=["primitive", "derived"])
+def test_magnus_matches_rk4_at_the_same_step(params):
+    initial = [0.5, 0.5j, 0.3 - 0.4j, -0.5]
+    times = np.linspace(0.0, 1.7, 23)
+    cfg = IntegratorConfig(step=2e-3)
+    magnus = magnus_full(params, initial, 1.7, cfg, sample_times=times)
+    rk4 = integrate_full(params, initial, 1.7, cfg, sample_times=times)
+    assert np.array_equal(magnus.times, rk4.times)
+    assert np.array_equal(magnus.amplitudes[0], np.array(initial))
+    assert np.max(np.abs(magnus.amplitudes - rk4.amplitudes)) < 1e-9
+    assert np.all(np.abs(magnus.amplitudes[-1] - initial) > 1e-2)
+    assert magnus.norm_drift <= 1e-12
+    assert magnus.error_estimate is None
+
+
+def test_magnus_constant_hamiltonian_is_exact():
+    from spinpair.model import hamiltonian_uncoupled
+
+    h = hamiltonian_uncoupled(STATIC, 0.0)
+    initial = np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)
+    times = [0.0, 0.7, 1.5]
+    trace = magnus_full(STATIC, initial, 1.5, IntegratorConfig(step=0.05), sample_times=times)
+    for t, row in zip(trace.times, trace.amplitudes):
+        assert np.max(np.abs(row - expm_herm(h, t) @ initial)) < 1e-12
+    alone = magnus_full(STATIC, initial, 1.5, IntegratorConfig(step=0.05), sample_times=[0.0])
+    assert np.array_equal(alone.amplitudes, [initial])
+
+
+def test_magnus_block_starting_at_zero_stays_zero():
+    trace = magnus_full(DRIVEN, [0.6, 0.8j, 0.0, 0.0], 1.0, IntegratorConfig(step=1e-3))
+    assert np.all(trace.amplitudes[:, 2:] == 0.0)
+    assert np.all(np.abs(trace.amplitudes[1:, 0] - 0.6) > 0.0)
+
+
+def test_magnus_chunks_do_not_change_the_product(monkeypatch):
+    # a chunk of 7 steps splits segments at odd places; more steps than
+    # one default chunk, so the default run also spans chunks
+    initial = [0.5, 0.5j, 0.3 - 0.4j, -0.5]
+    times = np.linspace(0.0, 2.5, 11)
+    cfg = IntegratorConfig(step=1e-4)
+    whole = magnus_full(PRIMITIVE, initial, 2.5, cfg, sample_times=times)
+    assert whole.norm_drift <= 1e-12
+    monkeypatch.setattr(_kernels, "_CHUNK", 7)
+    cfg = IntegratorConfig(step=2.5e-2)
+    small = magnus_full(PRIMITIVE, initial, 2.5, cfg, sample_times=times)
+    monkeypatch.undo()
+    reference = magnus_full(PRIMITIVE, initial, 2.5, cfg, sample_times=times)
+    assert np.max(np.abs(small.amplitudes - reference.amplitudes)) < 1e-13
+    assert np.max(np.abs(whole.amplitudes - reference.amplitudes)) < 1e-5
+
+
+def test_magnus_error_falls_16x_per_halved_step():
+    setup, params, convention = build_ic1({
+        "k": 0.7,
+        "omega_plus": {"kind": "sinusoid", "amplitude": 3.0, "frequency": 20.0, "phase": 0.3},
+        "lambda_z": {"kind": "sinusoid", "amplitude": 0.8, "frequency": 7.0},
+    })
+    # segments of 0.5 split into exactly 16 and 32 steps
+    times = np.linspace(0.0, 2.0, 5)
+    exact = ic1_evolve(setup, params, times, "phi1", convention)
+    initial = (math.cos(setup.theta10), math.sin(setup.theta10), 0.0, 0.0)
+    errors = []
+    for step in (2.0**-5, 2.0**-6):
+        trace = magnus_full(params, initial, 2.0, IntegratorConfig(step=step), sample_times=times)
+        errors.append(
+            max(
+                np.max(np.abs(trace.amplitudes[:, 0] - exact.a1)),
+                np.max(np.abs(trace.amplitudes[:, 1] - exact.a2)),
+            )
+        )
+    assert 14.0 < errors[0] / errors[1] < 18.0
+
+
+def test_magnus_refuses_a_step_too_long_for_the_drives():
+    params = ModelParams.from_derived(omega_plus=Sinusoid(1e150, 3.0))
+    cfg = IntegratorConfig(step=suggest_step(params, 1.0))
+    with pytest.raises(ConfigError, match="norm bound"):
+        magnus_full(params, [1.0, 0.0, 0.0, 0.0], 1.0, cfg)
+    # the bound: hypot(3, 4) + 0.8/4 = 5.2, so a step of 1/5.2 is refused
+    edge = ModelParams.from_derived(
+        omega_plus=Constant(3.0), lambda_m=Constant(4.0), lambda_z=Constant(0.8)
+    )
+    with pytest.raises(ConfigError, match="norm bound"):
+        magnus_full(edge, [1.0, 0.0, 0.0, 0.0], 1.0, IntegratorConfig(step=1.0 / 5.2))
+    magnus_full(edge, [1.0, 0.0, 0.0, 0.0], 1.0, IntegratorConfig(step=0.99 / 5.2))
+    nan = ModelParams.from_derived(omega_plus=Constant(math.nan))
+    with pytest.raises(ConfigError, match="norm bound nan"):
+        magnus_full(nan, [1.0, 0.0, 0.0, 0.0], 1.0, IntegratorConfig(step=1e-3))
+
+
+def test_magnus_refuses_a_run_over_the_step_budget():
+    cfg = IntegratorConfig(step=1e-7)
+    with pytest.raises(ConfigError, match="step budget"):
+        magnus_full(DRIVEN, [1.0, 0.0, 0.0, 0.0], 2.0, cfg)
+
+
+def test_magnus_refuses_the_doubling_method():
+    cfg = IntegratorConfig(step=1e-3, method="rk4_doubling")
+    with pytest.raises(ConfigError, match="error estimate"):
+        magnus_full(DRIVEN, [1.0, 0.0, 0.0, 0.0], 1.0, cfg)

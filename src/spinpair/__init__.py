@@ -34,7 +34,6 @@ from .drive import (
     integral_abs,
     is_static,
     negate,
-    quadrature,
     single_term,
 )
 from .entangle import (
@@ -54,7 +53,6 @@ from .errors import (
     BranchExitError,
     ConfigError,
     InvalidDensityMatrixError,
-    NonConvergenceError,
     NormDriftError,
     NotIntegrableError,
     NotStaticError,
@@ -93,7 +91,6 @@ from .model import (
 from .oracle import (
     IntegratorConfig,
     Trace,
-    integrate_block,
     integrate_block_fn,
     integrate_block_ic2,
     integrate_full,
@@ -121,7 +118,6 @@ __all__ = [
     "evaluate",
     "integral",
     "integral_abs",
-    "quadrature",
     "is_static",
     "negate",
     "single_term",
@@ -183,7 +179,6 @@ __all__ = [
     "IntegratorConfig",
     "Trace",
     "suggest_step",
-    "integrate_block",
     "integrate_full",
     "integrate_block_fn",
     "integrate_block_ic2",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BranchExitError
 
-__all__ = ["rk4_block_profiles", "rk4_block_ic2", "rk4_clamped", "magnus_block_profiles"]
+__all__ = ["rk4_block_profiles", "rk4_clamped", "magnus_block_profiles"]
 
 # offset of the two Gauss-Legendre points from a step's midpoint, in steps
 _GAUSS = math.sqrt(3.0) / 6.0
@@ -141,30 +141,6 @@ def _ic2_field(mu, beta, phi, kappa, cos2t0, big_a, t):
     if s2 <= 0.0:
         raise _branch_exit(t)
     return mu * math.sin(beta * t + phi) * cth / math.sqrt(s2)
-
-
-def rk4_block_ic2(c, y1, y2, t0, t1, n):
-    """RK4 for the block driven by the rate-matched effective field.
-
-    c: 13 floats (mu, beta, phi, kappa, cos2theta0, 1-cos2theta0,
-    then a two-term lambda_z drive).  Steps with :func:`rk4_clamped`, so
-    one-sided limits at branch-touch segment endpoints are taken from
-    the segment interior.
-
-    Raises
-    ------
-    BranchExitError
-        If the angle reaches the branch edge inside the segment.
-    """
-    mu, beta, phi, kappa, cos2t0, big_a = c[0], c[1], c[2], c[3], c[4], c[5]
-
-    def deriv(t, g1, g2):
-        w = _ic2_field(mu, beta, phi, kappa, cos2t0, big_a, t)
-        l = mu * math.sin(beta * t + phi)
-        z4 = 0.25 * _two_term(c, 6, t)
-        return -1j * ((w + z4) * g1 + l * g2), -1j * (l * g1 + (z4 - w) * g2)
-
-    return rk4_clamped(deriv, y1, y2, t0, t1, n)
 
 
 def _two_term_array(c, base, t):

@@ -75,7 +75,11 @@ class RwaSetup:
     def __post_init__(self):
         if not isinstance(self.drive, Sinusoid):
             raise ValueError("drive must be a Sinusoid")
-        if self.drive.frequency <= 0.0:
+        d = self.drive
+        numbers = (self.static_value, self.theta10, d.amplitude, d.frequency, d.phase)
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError("static_value, theta10 and the drive must be finite")
+        if d.frequency <= 0.0:
             raise ValueError("drive frequency must be positive")
 
 

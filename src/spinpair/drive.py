@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
-
-from .errors import NonConvergenceError
 
 __all__ = [
     "Constant",
@@ -29,7 +27,6 @@ __all__ = [
     "evaluate",
     "integral",
     "integral_abs",
-    "quadrature",
     "is_static",
     "negate",
     "single_term",
@@ -118,51 +115,6 @@ def integral_abs(profile: DriveProfile, t: float | np.ndarray) -> float | np.nda
         case Scaled(factor=k, base=base):
             return abs(k) * integral_abs(base, t)
     raise TypeError(f"not a drive profile: {profile!r}")
-
-
-def quadrature(
-    f: Callable[[float], float],
-    t0: float,
-    t1: float,
-    tol: float = 1e-10,
-    max_depth: int = 50,
-) -> float:
-    """Adaptive Simpson integration of a scalar callable over [t0, t1].
-
-    Fallback for integrands with no closed form (e.g. the magnitude of a
-    multi-term drive).  Raises :class:`NonConvergenceError` if the
-    subdivision limit is reached before the error estimate drops below
-    ``tol``.
-    """
-    if t0 == t1:
-        return 0.0
-
-    def simpson(a, fa, b, fb, fm):
-        return (b - a) * (fa + 4.0 * fm + fb) / 6.0
-
-    def recurse(a, fa, b, fb, fm, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = f(lm)
-        frm = f(rm)
-        left = simpson(a, fa, m, fm, flm)
-        right = simpson(m, fm, b, fb, frm)
-        if depth <= 0:
-            raise NonConvergenceError(
-                f"adaptive quadrature hit the subdivision limit on [{a}, {b}]"
-            )
-        if abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        half = 0.5 * tol
-        return recurse(a, fa, m, fm, flm, left, half, depth - 1) + recurse(
-            m, fm, b, fb, frm, right, half, depth - 1
-        )
-
-    fa, fb = f(t0), f(t1)
-    fm = f(0.5 * (t0 + t1))
-    whole = simpson(t0, fa, t1, fb, fm)
-    return recurse(t0, fa, t1, fb, fm, whole, tol, max_depth)
 
 
 def is_static(profile: DriveProfile) -> bool:

@@ -9,10 +9,6 @@ class ConfigError(SpinpairError):
     """Malformed or inconsistent run configuration."""
 
 
-class NonConvergenceError(SpinpairError):
-    """An iterative numerical routine exhausted its budget."""
-
-
 class NotStaticError(SpinpairError):
     """Operation requires a time-independent Hamiltonian."""
 

@@ -343,8 +343,10 @@ class IC2Setup:
     lambda_p: DriveProfile = Constant(0.0)
 
     def __post_init__(self):
-        if self.kappa == 0.0:
-            raise ValueError("kappa must be nonzero")
+        if not math.isfinite(self.kappa) or self.kappa == 0.0:
+            raise ValueError("kappa must be finite and nonzero")
+        if not math.isfinite(self.chi):
+            raise ValueError("chi must be finite")
         for name, rate in (("kappa", self.kappa), ("chi", self.chi)):
             if 0.0 < abs(rate) < _MIN_RATE:
                 raise ValueError(f"|{name}| must be 0 or at least {_MIN_RATE:g}")
@@ -535,7 +537,7 @@ def ic2_derived_field(
         raise ConfigError("derived field requires a pure sinusoidal coupling")
     mu, beta, phi = sinus
     c0 = math.cos(2.0 * theta0)
-    # the same scalar helper the rate-matched RK4 kernel steps with
+    # the same scalar helper integrate_block_ic2's RK4 steps with
     return _ic2_field(mu, beta, phi, rate, c0, 1.0 - c0, t)
 
 

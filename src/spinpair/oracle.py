@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import _kernels
+from ._kernels import _ic2_field, _two_term
 from .errors import ConfigError, NormDriftError
 from .model import ModelParams, Subspace
 
@@ -29,15 +30,13 @@ __all__ = [
     "IntegratorConfig",
     "Trace",
     "suggest_step",
-    "integrate_block",
     "integrate_full",
     "integrate_block_fn",
     "integrate_block_ic2",
     "magnus_full",
 ]
 
-_METHODS = ("rk4_fixed", "rk4_doubling")
-# RK4 steps one march may take: about 100x the largest test run
+# steps one RK4 or Magnus march may take: about 100x the largest test run
 _MAX_STEPS = 10**7
 # step times the Hamiltonian norm bound that magnus_full accepts: inside
 # the Magnus convergence radius pi
@@ -46,25 +45,20 @@ _MAX_STEP_NORM = 1.0
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step RK4 settings.
+    """Fixed-step settings of the RK4 oracle and of :func:`magnus_full`.
 
     ``step`` is the nominal step; each inter-knot segment is subdivided
-    into equal steps no longer than it.  ``rk4_doubling`` additionally
-    integrates each segment at half the step and accumulates a
-    Richardson error estimate (the reported trace still comes from the
-    nominal step).
+    into equal steps no longer than it.  A run whose norm drifts beyond
+    ``norm_tolerance`` raises :class:`NormDriftError`.
     """
 
     step: float
-    method: str = "rk4_fixed"
     norm_tolerance: float = 1e-6
 
     def __post_init__(self):
         # written so that NaN fails too
         if not self.step > 0.0:
             raise ValueError("step must be positive")
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}; use one of {_METHODS}")
         if not self.norm_tolerance > 0.0:
             raise ValueError("norm_tolerance must be positive")
 
@@ -79,7 +73,6 @@ class Trace:
     times: np.ndarray
     amplitudes: np.ndarray  # shape (n, 2) or (n, 4), complex
     norm_drift: float
-    error_estimate: float | None = None
 
 
 def suggest_step(params: ModelParams, t_end: float) -> float:
@@ -152,7 +145,7 @@ def _march(step_fn, y0, events, is_sample, cfg: IntegratorConfig):
     """Generic march over event segments.
 
     step_fn(y, a, b, n) advances state tuple y from a to b in n steps.
-    Returns (samples array, norm drift, error estimate or None).
+    Returns (samples array, norm drift).
 
     Raises
     ------
@@ -166,7 +159,6 @@ def _march(step_fn, y0, events, is_sample, cfg: IntegratorConfig):
     y = tuple(complex(v) for v in y0)
     norm0 = _norm2(y)
     drift = 0.0
-    estimate = 0.0 if cfg.method == "rk4_doubling" else None
 
     row = 0
     if is_sample[0]:  # events always start at exactly 0.0
@@ -174,14 +166,7 @@ def _march(step_fn, y0, events, is_sample, cfg: IntegratorConfig):
         row += 1
 
     for k in range(1, len(events)):
-        a, b = float(events[k - 1]), float(events[k])
-        n = int(counts[k - 1])
-        y_next = step_fn(y, a, b, n)
-        if estimate is not None:
-            y_half = step_fn(y, a, b, 2 * n)
-            diff = math.sqrt(_norm2([u - v for u, v in zip(y_next, y_half)]))
-            estimate += diff * (16.0 / 15.0)
-        y = y_next
+        y = step_fn(y, float(events[k - 1]), float(events[k]), int(counts[k - 1]))
         if is_sample[k]:
             out[row] = y
             row += 1
@@ -189,26 +174,7 @@ def _march(step_fn, y0, events, is_sample, cfg: IntegratorConfig):
             # max() drops a NaN second argument; a NaN drift must stick
             drift = d if math.isnan(d) else max(drift, d)
     _check_drift(drift, cfg)
-    return out, drift, estimate
-
-
-def integrate_block(
-    params: ModelParams,
-    subspace: Subspace,
-    initial: Sequence[complex],
-    t_end: float,
-    cfg: IntegratorConfig,
-    sample_times: Sequence[float] | None = None,
-) -> Trace:
-    """RK4 propagation of one 2x2 block of the Hamiltonian."""
-    coeffs = params.block_terms(subspace)
-    events, is_sample = _event_grid(t_end, sample_times, ())
-
-    def step(y, a, b, n):
-        return _kernels.rk4_block_profiles(coeffs, y[0], y[1], a, b, n)
-
-    out, drift, est = _march(step, tuple(initial), events, is_sample, cfg)
-    return Trace(events[is_sample], out, drift, est)
+    return out, drift
 
 
 def integrate_full(
@@ -221,10 +187,10 @@ def integrate_full(
     """RK4 propagation of the full 4-amplitude state (uncoupled order).
 
     The Hamiltonian is block diagonal, so each step advances the two
-    blocks separately (the amplitudes equal :func:`integrate_block` on
-    each subspace) and amplitudes starting at exactly zero in one block
-    stay exactly zero: no numerical leakage.  Norm drift and the
-    doubling estimate are taken over all four amplitudes.
+    blocks separately: a block's amplitudes do not depend on the other
+    block's, and amplitudes starting at exactly zero in one block stay
+    exactly zero (no numerical leakage).  Norm drift is taken over all
+    four amplitudes.
     """
     one = params.block_terms(Subspace.ONE)
     two = params.block_terms(Subspace.TWO)
@@ -234,8 +200,8 @@ def integrate_full(
         upper = _kernels.rk4_block_profiles(one, y[0], y[1], a, b, n)
         return upper + _kernels.rk4_block_profiles(two, y[2], y[3], a, b, n)
 
-    out, drift, est = _march(step, tuple(initial), events, is_sample, cfg)
-    return Trace(events[is_sample], out, drift, est)
+    out, drift = _march(step, tuple(initial), events, is_sample, cfg)
+    return Trace(events[is_sample], out, drift)
 
 
 def integrate_block_fn(
@@ -251,8 +217,9 @@ def integrate_block_fn(
     ``hfun(t)`` must return a 2x2 indexable.  ``breakpoints`` marks times
     where the Hamiltonian is discontinuous; integration never steps
     across them, and stage times are nudged 1e-9 inside each segment
-    (see :func:`spinpair._kernels.rk4_clamped`) so ``hfun`` is only
-    asked for one-sided limits at its discontinuities.
+    (a quarter of any segment shorter than 4e-9; see
+    :func:`spinpair._kernels.rk4_clamped`) so ``hfun`` is only asked
+    for one-sided limits at its discontinuities.
     """
     events, is_sample = _event_grid(t_end, sample_times, breakpoints)
 
@@ -267,8 +234,8 @@ def integrate_block_fn(
     def step(y, a, b, n):
         return _kernels.rk4_clamped(deriv, y[0], y[1], a, b, n)
 
-    out, drift, est = _march(step, tuple(initial), events, is_sample, cfg)
-    return Trace(events[is_sample], out, drift, est)
+    out, drift = _march(step, tuple(initial), events, is_sample, cfg)
+    return Trace(events[is_sample], out, drift)
 
 
 def integrate_block_ic2(
@@ -279,11 +246,15 @@ def integrate_block_ic2(
     sample_times: Sequence[float] | None = None,
     breakpoints: Iterable[float] = (),
 ) -> Trace:
-    """RK4 propagation against the rate-matched derived field kernel.
+    """RK4 propagation of the block driven by the rate-matched derived field.
 
-    ``coeffs`` comes from :func:`spinpair.exact.ic2_kernel_coeffs`;
-    ``breakpoints`` from :func:`spinpair.exact.ic2_breakpoints` (the
-    derived field jumps there, so segments must not straddle them).
+    ``coeffs`` comes from :func:`spinpair.exact.ic2_kernel_coeffs`: 13
+    floats (mu, beta, phi, kappa, cos2theta0, 1-cos2theta0, then a
+    two-term lambda_z drive).  ``breakpoints`` comes from
+    :func:`spinpair.exact.ic2_breakpoints` (the derived field jumps
+    there, so segments must not straddle them).  Steps with
+    :func:`spinpair._kernels.rk4_clamped`, so one-sided limits at
+    branch-touch segment ends are taken from the segment interior.
 
     Raises
     ------
@@ -301,13 +272,20 @@ def integrate_block_ic2(
         raise ConfigError(
             "ic2 kernel coefficients must be finite, with nonzero beta and rate"
         )
+    mu, beta, phi, kappa, cos2t0, big_a = coeffs[:6]
     events, is_sample = _event_grid(t_end, sample_times, breakpoints)
 
-    def step(y, a, b, n):
-        return _kernels.rk4_block_ic2(coeffs, y[0], y[1], a, b, n)
+    def deriv(t, y1, y2):
+        w = _ic2_field(mu, beta, phi, kappa, cos2t0, big_a, t)
+        l = mu * math.sin(beta * t + phi)
+        z4 = 0.25 * _two_term(coeffs, 6, t)
+        return -1j * ((w + z4) * y1 + l * y2), -1j * (l * y1 + (z4 - w) * y2)
 
-    out, drift, est = _march(step, tuple(initial), events, is_sample, cfg)
-    return Trace(events[is_sample], out, drift, est)
+    def step(y, a, b, n):
+        return _kernels.rk4_clamped(deriv, y[0], y[1], a, b, n)
+
+    out, drift = _march(step, tuple(initial), events, is_sample, cfg)
+    return Trace(events[is_sample], out, drift)
 
 
 def _norm_bound(coeffs: Sequence[float]) -> float:
@@ -336,19 +314,16 @@ def magnus_full(
     :func:`spinpair._kernels.magnus_block_profiles`.  Magnus steps stay
     unitary even where they mean nothing, so ``cfg.step`` times the
     norm bound of either block must be below 1 (the Magnus convergence
-    radius is pi).  ``cfg.method`` must be ``rk4_fixed``: there is no
-    error estimate.
+    radius is pi).
 
     Raises
     ------
     ConfigError
-        On a step that is too long for the drives, a run over the step
-        budget, or ``rk4_doubling``.
+        On a step that is too long for the drives, or a run over the
+        step budget.
     NormDriftError
         If the norm drifts beyond ``cfg.norm_tolerance`` (NaN included).
     """
-    if cfg.method != "rk4_fixed":
-        raise ConfigError("magnus_full has no error estimate; use method rk4_fixed")
     blocks = (params.block_terms(Subspace.ONE), params.block_terms(Subspace.TWO))
     # np.max, not max(): a NaN bound must stick
     bound = float(np.max([_norm_bound(c) for c in blocks]))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import quadrature
 from spinpair import drive
 from spinpair.approx import (
     RwaMode,
@@ -27,8 +28,8 @@ def first_order_quadrature(omega_plus, mu, beta, t):
     def integrand(s):
         return mu * math.sin(beta * s) * cmath.exp(-2j * omega_plus * s)
 
-    re = drive.quadrature(lambda s: integrand(s).real, 0.0, t)
-    im = drive.quadrature(lambda s: integrand(s).imag, 0.0, t)
+    re = quadrature(lambda s: integrand(s).real, 0.0, t)
+    im = quadrature(lambda s: integrand(s).imag, 0.0, t)
     return -1j * cmath.exp(1j * omega_plus * t) * (re + 1j * im)
 
 
@@ -204,3 +205,17 @@ def test_rwa_setup_validation():
         RwaSetup(RwaMode.LAMBDA_DRIVE, 1.0, Constant(0.3), 0.0)
     with pytest.raises(ValueError):
         RwaSetup(RwaMode.LAMBDA_DRIVE, 1.0, Sinusoid(0.3, -2.0), 0.0)
+    # each of these gave NaN amplitudes from rwa_evolve
+    nan, inf = math.nan, math.inf
+    for static, drive_, theta10 in (
+        (nan, Sinusoid(0.3, 2.0), 0.0),
+        (inf, Sinusoid(0.3, 2.0), 0.0),
+        (1.0, Sinusoid(0.3, 2.0), nan),
+        (1.0, Sinusoid(0.3, nan), 0.0),
+        (1.0, Sinusoid(0.3, inf), 0.0),
+        (1.0, Sinusoid(nan, 2.0), 0.0),
+        (1.0, Sinusoid(0.3, 2.0, nan), 0.0),
+    ):
+        for mode in RwaMode:
+            with pytest.raises(ValueError, match="finite"):
+                RwaSetup(mode, static, drive_, theta10)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import quadrature
 from spinpair.drive import (
     Constant,
     Scaled,
@@ -14,7 +15,6 @@ from spinpair.drive import (
     integral_abs,
     is_static,
     negate,
-    quadrature,
     single_term,
 )
 

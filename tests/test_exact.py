@@ -21,7 +21,7 @@ from spinpair.exact import (
     ic2_theta,
 )
 from spinpair.model import ModelParams, Subspace
-from spinpair.oracle import IntegratorConfig, integrate_block, integrate_block_fn, integrate_block_ic2
+from spinpair.oracle import IntegratorConfig, integrate_block_fn, integrate_block_ic2, integrate_full
 
 WP = Sinusoid(2.0, 50.0, math.pi / 50)
 
@@ -80,10 +80,12 @@ def test_ic1_matches_rk4(initial, subspace):
     theta0 = setup.theta10 if subspace is Subspace.ONE else setup.theta20
     c0, s0 = math.cos(theta0), math.sin(theta0)
     start = (c0, s0) if initial in ("phi1", "phi3") else (-s0, c0)
+    state = start + (0.0, 0.0) if subspace is Subspace.ONE else (0.0, 0.0) + start
+    cols = slice(0, 2) if subspace is Subspace.ONE else slice(2, 4)
     times = [0.25, 0.5, 1.0]
     cfg = IntegratorConfig(step=1e-4)
-    trace = integrate_block(params, subspace, start, 1.0, cfg, sample_times=times)
-    for t, row in zip(trace.times, trace.amplitudes):
+    trace = integrate_full(params, state, 1.0, cfg, sample_times=times)
+    for t, row in zip(trace.times, trace.amplitudes[:, cols]):
         amps = ic1_evolve(setup, params, t, initial)
         assert abs(amps.a1 - row[0]) < 1e-7
         assert abs(amps.a2 - row[1]) < 1e-7
@@ -433,6 +435,10 @@ def test_ic2_setup_validation():
         IC2Setup(kappa=-1e-200, theta10=0.1, lambda_m=Sinusoid(1.0, 10.0))
     with pytest.raises(ValueError, match="chi"):
         IC2Setup(kappa=0.1, theta10=0.1, chi=1e-160, lambda_m=Sinusoid(1.0, 10.0))
+    # non-finite rates gave valid=True and NaN amplitudes
+    for kappa, chi in ((math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan), (0.1, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            IC2Setup(kappa=kappa, theta10=0.3, chi=chi, lambda_m=Sinusoid(1.0, 5.0))
 
 
 def test_ic2_underflowing_rate_times_amplitude_is_a_verdict():

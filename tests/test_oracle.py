@@ -11,7 +11,6 @@ from spinpair.exact import IC2Setup, ic1_evolve, ic2_breakpoints, ic2_kernel_coe
 from spinpair.model import ModelParams, Subspace
 from spinpair.oracle import (
     IntegratorConfig,
-    integrate_block,
     integrate_block_fn,
     integrate_block_ic2,
     integrate_full,
@@ -40,6 +39,11 @@ def expm_herm(h, t):
     return v @ np.diag(np.exp(-1j * w * t)) @ v.conj().T
 
 
+def block_slice(subspace):
+    """Columns of a subspace's two amplitudes in the full state."""
+    return slice(0, 2) if subspace is Subspace.ONE else slice(2, 4)
+
+
 # --- integrators ----------------------------------------------------------
 
 @pytest.mark.parametrize("subspace", [Subspace.ONE, Subspace.TWO])
@@ -48,12 +52,13 @@ def test_integrate_block_constant_hamiltonian(subspace):
 
     h = block(STATIC, 0.0, subspace)
     initial = np.array([0.6, 0.8j])
+    state = np.zeros(4, dtype=complex)
+    state[block_slice(subspace)] = initial
     cfg = IntegratorConfig(step=1e-3)
-    trace = integrate_block(STATIC, subspace, initial, 2.0, cfg, sample_times=[0.0, 0.9, 2.0])
-    for t, row in zip(trace.times, trace.amplitudes):
+    trace = integrate_full(STATIC, state, 2.0, cfg, sample_times=[0.0, 0.9, 2.0])
+    for t, row in zip(trace.times, trace.amplitudes[:, block_slice(subspace)]):
         assert np.allclose(row, expm_herm(h, t) @ initial, atol=1e-9)
     assert trace.norm_drift < 1e-10
-    assert trace.error_estimate is None
 
 
 def test_integrate_full_constant_hamiltonian():
@@ -69,10 +74,10 @@ def test_integrate_full_constant_hamiltonian():
 def test_sample_times_respected():
     times = [0.0, 0.123, 0.5, 1.618, 2.0]
     cfg = IntegratorConfig(step=1e-3)
-    trace = integrate_block(DRIVEN, Subspace.ONE, [1.0, 0.0], 2.0, cfg, sample_times=times)
+    trace = integrate_full(DRIVEN, [1.0, 0.0, 0.0, 0.0], 2.0, cfg, sample_times=times)
     assert np.array_equal(trace.times, np.array(times))
-    assert trace.amplitudes.shape == (5, 2)
-    assert np.array_equal(trace.amplitudes[0], np.array([1.0, 0.0]))
+    assert trace.amplitudes.shape == (5, 4)
+    assert np.array_equal(trace.amplitudes[0], np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 def test_block_diagonality_gives_exact_zero_leakage():
@@ -83,8 +88,7 @@ def test_block_diagonality_gives_exact_zero_leakage():
     assert abs(trace.amplitudes[-1, 0]) > 0.0
 
 
-@pytest.mark.parametrize("method", ["rk4_fixed", "rk4_doubling"])
-def test_integrate_full_is_the_two_blocks(method):
+def test_integrate_full_is_the_two_blocks():
     params = ModelParams(
         lambda_x=Sinusoid(1.3, 50.0, 0.1),
         lambda_y=Sinusoid(-0.4, 7.0, 0.2),
@@ -92,21 +96,24 @@ def test_integrate_full_is_the_two_blocks(method):
         omega_1=Sinusoid(2.0, 13.0, 0.3),
         omega_2=Constant(-0.7),
     )
-    initial = [0.5, 0.5j, 0.5, -0.5]
+    initial = np.array([0.5, 0.5j, 0.5, -0.5])
     times = np.linspace(0.0, 1.7, 23)
-    cfg = IntegratorConfig(step=2e-3, method=method)
+    cfg = IntegratorConfig(step=2e-3)
     full = integrate_full(params, initial, 1.7, cfg, sample_times=times)
-    one = integrate_block(params, Subspace.ONE, initial[:2], 1.7, cfg, sample_times=times)
-    two = integrate_block(params, Subspace.TWO, initial[2:], 1.7, cfg, sample_times=times)
-    assert np.all(full.amplitudes[:, :2] == one.amplitudes)
-    assert np.all(full.amplitudes[:, 2:] == two.amplitudes)
+    # each block alone, the other zeroed: bitwise the same amplitudes
+    one = integrate_full(params, initial * [1, 1, 0, 0], 1.7, cfg, sample_times=times)
+    two = integrate_full(params, initial * [0, 0, 1, 1], 1.7, cfg, sample_times=times)
+    assert np.all(full.amplitudes[:, :2] == one.amplitudes[:, :2])
+    assert np.all(full.amplitudes[:, 2:] == two.amplitudes[:, 2:])
+    assert np.all(one.amplitudes[:, 2:] == 0.0)
+    assert np.all(two.amplitudes[:, :2] == 0.0)
     assert np.all(full.amplitudes[-1] != initial)
 
 
 def test_norm_drift_error_with_coarse_step():
     cfg = IntegratorConfig(step=0.5, norm_tolerance=1e-10)
     with pytest.raises(NormDriftError):
-        integrate_block(DRIVEN, Subspace.ONE, [1.0, 0.0], 10.0, cfg)
+        integrate_full(DRIVEN, [1.0, 0.0, 0.0, 0.0], 10.0, cfg)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -117,20 +124,6 @@ def test_nan_amplitudes_fail_the_norm_check():
     cfg = IntegratorConfig(step=suggest_step(params, 1.0))
     with pytest.raises(NormDriftError, match="nan"):
         integrate_full(params, [1.0, 0.0, 0.0, 0.0], 1.0, cfg)
-
-
-def test_doubling_estimate_bounds_error():
-    from spinpair.model import block
-
-    h = block(STATIC, 0.0, Subspace.ONE)
-    initial = np.array([1.0, 0.0], dtype=complex)
-    cfg = IntegratorConfig(step=2e-2, method="rk4_doubling")
-    trace = integrate_block(STATIC, Subspace.ONE, initial, 3.0, cfg, sample_times=[0.0, 3.0])
-    exact = expm_herm(h, 3.0) @ initial
-    actual = np.linalg.norm(trace.amplitudes[-1] - exact)
-    assert trace.error_estimate is not None
-    assert 0.0 < actual < 10.0 * trace.error_estimate
-    assert trace.error_estimate < 1e-6
 
 
 def test_suggest_step_values():
@@ -144,8 +137,6 @@ def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(step=math.nan)
     with pytest.raises(ValueError):
-        IntegratorConfig(step=1e-3, method="euler")
-    with pytest.raises(ValueError):
         IntegratorConfig(step=1e-3, norm_tolerance=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(step=1e-3, norm_tolerance=math.nan)
@@ -157,7 +148,7 @@ def test_integrator_config_validation():
 def test_bad_sample_times_rejected(times):
     cfg = IntegratorConfig(step=1e-2)
     with pytest.raises(ValueError):
-        integrate_block(STATIC, Subspace.ONE, [1.0, 0.0], 2.0, cfg, sample_times=times)
+        integrate_full(STATIC, [1.0, 0.0, 0.0, 0.0], 2.0, cfg, sample_times=times)
 
 
 def test_integrate_block_fn_constant():
@@ -256,7 +247,6 @@ def test_magnus_matches_rk4_at_the_same_step(params):
     assert np.max(np.abs(magnus.amplitudes - rk4.amplitudes)) < 1e-9
     assert np.all(np.abs(magnus.amplitudes[-1] - initial) > 1e-2)
     assert magnus.norm_drift <= 1e-12
-    assert magnus.error_estimate is None
 
 
 def test_magnus_constant_hamiltonian_is_exact():
@@ -338,9 +328,3 @@ def test_magnus_refuses_a_run_over_the_step_budget():
     cfg = IntegratorConfig(step=1e-7)
     with pytest.raises(ConfigError, match="step budget"):
         magnus_full(DRIVEN, [1.0, 0.0, 0.0, 0.0], 2.0, cfg)
-
-
-def test_magnus_refuses_the_doubling_method():
-    cfg = IntegratorConfig(step=1e-3, method="rk4_doubling")
-    with pytest.raises(ConfigError, match="error estimate"):
-        magnus_full(DRIVEN, [1.0, 0.0, 0.0, 0.0], 1.0, cfg)

@@ -21,7 +21,6 @@ from . import drive as drive_mod
 from .drive import Constant, DriveProfile, Sinusoid
 from .errors import ResonancePoleError
 from .exact import BlockAmplitudes
-from .model import Subspace
 
 __all__ = [
     "RwaMode",
@@ -75,11 +74,10 @@ class RwaSetup:
     def __post_init__(self):
         if not isinstance(self.drive, Sinusoid):
             raise ValueError("drive must be a Sinusoid")
-        d = self.drive
-        numbers = (self.static_value, self.theta10, d.amplitude, d.frequency, d.phase)
-        if not all(map(math.isfinite, numbers)):
-            raise ValueError("static_value, theta10 and the drive must be finite")
-        if d.frequency <= 0.0:
+        # the Sinusoid itself refuses non-finite numbers
+        if not all(map(math.isfinite, (self.static_value, self.theta10))):
+            raise ValueError("static_value and theta10 must be finite")
+        if self.drive.frequency <= 0.0:
             raise ValueError("drive frequency must be positive")
 
 
@@ -187,14 +185,14 @@ def _rwa_amplitudes(
     lam = np.exp(-0.25j * drive_mod.integral(setup.lambda_z, t))
     if setup.mode is RwaMode.LAMBDA_DRIVE:
         u1, u2 = _dressed_pair(detuning, mu, beta, phi, c0, s0, t)
-        return BlockAmplitudes(lam * u1, lam * u2, Subspace.ONE, "x")
+        return BlockAmplitudes(lam * u1, lam * u2)
     # field drive: propagate the sum/difference combinations, then recombine
     cp = c0 + s0
     cm = c0 - s0
     u1, u2 = _dressed_pair(detuning, mu, beta, phi, cp, cm, t)
     x_plus = 0.5 * lam * u1
     x_minus = 0.5 * lam * u2
-    return BlockAmplitudes(x_plus + x_minus, x_plus - x_minus, Subspace.ONE, "x")
+    return BlockAmplitudes(x_plus + x_minus, x_plus - x_minus)
 
 
 def rwa_evolve(setup: RwaSetup, t: float | np.ndarray) -> BlockAmplitudes:
@@ -221,5 +219,4 @@ def rwa_orthogonal(setup: RwaSetup, t: float | np.ndarray) -> BlockAmplitudes:
     ``sin(theta10) -> cos(theta10)`` to :func:`rwa_evolve`; the result
     stays orthogonal to it for all t.
     """
-    out = _rwa_amplitudes(setup, t, -math.sin(setup.theta10), math.cos(setup.theta10))
-    return BlockAmplitudes(out.a1, out.a2, out.subspace, "y")
+    return _rwa_amplitudes(setup, t, -math.sin(setup.theta10), math.cos(setup.theta10))

@@ -145,41 +145,50 @@ def _finish(
 def _superpose(
     times: np.ndarray,
     mixtures: tuple[complex, complex, complex, complex],
-    evolve: Callable[[str], BlockAmplitudes],
+    evolve: Callable[[int, int], BlockAmplitudes],
 ) -> np.ndarray:
     """Uncoupled amplitudes of the mixture of propagated canonical eigenstates.
 
-    ``evolve(initial)`` propagates one eigenstate over ``times``; a
-    block whose two mixture weights are zero is not propagated.
+    ``evolve(block, j)`` propagates eigenstate ``j`` (0: the first of the
+    pair, 1: the orthogonal one) of ``block`` (0: subspace I, 1:
+    subspace II) over ``times``; a block whose two mixture weights are
+    zero is not propagated.
     """
     amps = np.zeros((times.size, 4), dtype=complex)
-    blocks = ((0, mixtures[:2], ("phi1", "phi2")), (2, mixtures[2:], ("phi3", "phi4")))
-    for col, (p, q), (first, second) in blocks:
+    for block, (p, q) in enumerate((mixtures[:2], mixtures[2:])):
         if p != 0 or q != 0:
-            x, y = evolve(first), evolve(second)
-            amps[:, col] = p * x.a1 + q * y.a1
-            amps[:, col + 1] = p * x.a2 + q * y.a2
+            x, y = evolve(block, 0), evolve(block, 1)
+            amps[:, 2 * block] = p * x.a1 + q * y.a1
+            amps[:, 2 * block + 1] = p * x.a2 + q * y.a2
     return amps
 
 
 def _trace_ic1(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
     setup, params, convention = cfg.setup
     mixtures = _eigen_mixtures(cfg, setup.theta10, setup.theta20)
+    names = (("phi1", "phi2"), ("phi3", "phi4"))
     amps = _superpose(
-        times, mixtures, lambda phi: ic1_evolve(setup, params, times, phi, convention)
+        times,
+        mixtures,
+        lambda block, j: ic1_evolve(setup, params, times, names[block][j], convention),
     )
     return _finish(times, amps, copy.deepcopy(cfg.data), _ANALYTIC_NORM_TOL)
 
 
 def _trace_ic2(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
-    setup = cfg.setup
-    mixtures = _eigen_mixtures(cfg, setup.theta10, setup.theta20)
-    for pair, subspace in ((mixtures[:2], Subspace.ONE), (mixtures[2:], Subspace.TWO)):
+    one, two = cfg.setup
+    mixtures = _eigen_mixtures(cfg, one.theta10, two.theta10 if two else 0.0)
+    for pair, block in ((mixtures[:2], one), (mixtures[2:], two)):
         if any(m != 0 for m in pair):
-            verdict = ic2_admissible(setup, subspace)
+            if block is None:
+                raise AdmissibilityError("subspace II requested but chi is 0 (unused)")
+            verdict = ic2_admissible(block)
             if not verdict.valid:
                 raise AdmissibilityError(verdict.reason)
-    amps = _superpose(times, mixtures, lambda phi: ic2_evolve(setup, times, phi))
+    # subspace II runs as phi1/phi2 of its mirrored subspace-I block
+    amps = _superpose(
+        times, mixtures, lambda block, j: ic2_evolve((one, two)[block], times, ("phi1", "phi2")[j])
+    )
     return _finish(times, amps, copy.deepcopy(cfg.data), _ANALYTIC_NORM_TOL)
 
 
@@ -188,8 +197,8 @@ def _trace_rwa(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
     mixtures = _eigen_mixtures(cfg, setup.theta10, 0.0)
     if mixtures[2] != 0 or mixtures[3] != 0:
         raise ConfigError("rwa mode supports subspace-I initial states only")
-    evolve = {"phi1": rwa_evolve, "phi2": rwa_orthogonal}
-    amps = _superpose(times, mixtures, lambda phi: evolve[phi](setup, times))
+    evolve = (rwa_evolve, rwa_orthogonal)
+    amps = _superpose(times, mixtures, lambda _block, j: evolve[j](setup, times))
     return _finish(times, amps, copy.deepcopy(cfg.data), _ANALYTIC_NORM_TOL)
 
 

@@ -30,9 +30,9 @@ from typing import Any
 import yaml
 
 from .approx import RwaMode, RwaSetup
-from .drive import Constant, DriveProfile, Scaled, Sinusoid
+from .drive import Constant, DriveProfile, Scaled, Sinusoid, negate
 from .errors import ConfigError
-from .exact import IC1Setup, IC2Setup, PhaseConvention
+from .exact import _MIN_RATE, IC1Setup, IC2Setup, PhaseConvention
 from .model import ModelParams
 
 __all__ = [
@@ -350,11 +350,14 @@ def build_ic1(section: Any) -> tuple[IC1Setup, ModelParams, PhaseConvention]:
     return setup, params, convention
 
 
-def build_ic2(section: Any) -> IC2Setup:
-    """Rate-matched section.
+def build_ic2(section: Any) -> tuple[IC2Setup, IC2Setup | None]:
+    """Rate-matched section: one :class:`IC2Setup` per subspace.
 
     Keys: ``kappa``, ``theta10``, ``lambda_m`` (profile), optional
-    ``lambda_z``, ``chi``, ``theta20``, ``lambda_p``.
+    ``lambda_z``, ``chi``, ``theta20``, ``lambda_p``.  Subspace II is
+    subspace I under the paper's I<->II map, so its block is
+    ``IC2Setup(chi, theta20, lambda_p, -lambda_z)``; it is ``None``
+    when ``chi`` is 0 (absent), which leaves subspace II unused.
     """
     mapping = _require_mapping(section, "ic2")
     _check_keys(
@@ -364,18 +367,23 @@ def build_ic2(section: Any) -> IC2Setup:
     )
     if "lambda_m" not in mapping:
         raise ConfigError("missing key 'lambda_m' in ic2")
+    kappa = _number(mapping, "kappa", "ic2")
+    theta10 = _number(mapping, "theta10", "ic2")
+    lambda_m = parse_profile(mapping["lambda_m"], "ic2.lambda_m")
+    lambda_z = parse_profile(mapping.get("lambda_z", 0.0), "ic2.lambda_z")
+    chi = _number(mapping, "chi", "ic2", 0.0)
+    theta20 = _number(mapping, "theta20", "ic2", 0.0)
+    lambda_p = parse_profile(mapping.get("lambda_p", 0.0), "ic2.lambda_p")
     try:
-        return IC2Setup(
-            kappa=_number(mapping, "kappa", "ic2"),
-            theta10=_number(mapping, "theta10", "ic2"),
-            lambda_m=parse_profile(mapping["lambda_m"], "ic2.lambda_m"),
-            lambda_z=parse_profile(mapping.get("lambda_z", 0.0), "ic2.lambda_z"),
-            chi=_number(mapping, "chi", "ic2", 0.0),
-            theta20=_number(mapping, "theta20", "ic2", 0.0),
-            lambda_p=parse_profile(mapping.get("lambda_p", 0.0), "ic2.lambda_p"),
-        )
+        one = IC2Setup(kappa, theta10, lambda_m, lambda_z)
     except ValueError as exc:
         raise ConfigError(f"ic2: {exc}") from None
+    # the same limits as IC2Setup's, under the subspace-II names
+    if 0.0 < abs(chi) < _MIN_RATE:
+        raise ConfigError(f"ic2: |chi| must be 0 or at least {_MIN_RATE:g}")
+    if not 0.0 <= theta20 <= 0.5 * math.pi:
+        raise ConfigError("ic2: theta20 must lie in [0, pi/2]")
+    return one, (IC2Setup(chi, theta20, lambda_p, negate(lambda_z)) if chi else None)
 
 
 def build_rwa(section: Any) -> RwaSetup:

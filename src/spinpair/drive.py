@@ -5,10 +5,10 @@ local fields) is one of three closed profile kinds: a constant, a pure
 sinusoid, or a scalar multiple of another profile.  The closed algebra
 keeps every integral exact, which the analytic propagators rely on.
 
-Profiles are frozen dataclasses; sharing a profile between two
-parameter sets is safe because no profile can be mutated after
-construction.  Values and integrals take a single time or an array of
-times.
+Profiles are frozen dataclasses that refuse non-finite numbers; sharing
+a profile between two parameter sets is safe because no profile can be
+mutated after construction.  Values and integrals take a single time or
+an array of times.
 """
 
 from __future__ import annotations
@@ -40,6 +40,10 @@ class Constant:
 
     value: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError(f"constant value must be finite, got {self.value!r}")
+
 
 @dataclass(frozen=True)
 class Sinusoid:
@@ -54,6 +58,8 @@ class Sinusoid:
     phase: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.amplitude, self.frequency, self.phase))):
+            raise ValueError("sinusoid amplitude, frequency and phase must be finite")
         if self.frequency == 0.0:
             raise ValueError("sinusoid frequency must be nonzero")
 
@@ -64,6 +70,10 @@ class Scaled:
 
     factor: float
     base: "DriveProfile"
+
+    def __post_init__(self):
+        if not math.isfinite(self.factor):
+            raise ValueError(f"scale factor must be finite, got {self.factor!r}")
 
 
 DriveProfile = Union[Constant, Sinusoid, Scaled]

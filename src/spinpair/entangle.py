@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidDensityMatrixError
 from .exact import BlockAmplitudes, IC2Setup, ic2_theta
-from .model import Subspace, basis_change_matrix
+from .model import basis_change_matrix
 
 __all__ = [
     "Basis",
@@ -269,7 +269,7 @@ def _ic2_products(setup: IC2Setup, t: float) -> tuple[float, float, float]:
     # the three real sub-expressions Re(x1 x2), Im(x1 x2) and
     # x1 y2 + y1 x2, with the common diagonal phase factored out
     kappa = setup.kappa
-    theta1 = ic2_theta(setup, t, Subspace.ONE)
+    theta1 = ic2_theta(setup, t)
     delta = (theta1 - setup.theta10) * math.sqrt(1.0 + kappa**-2)
     one_k2 = 1.0 + kappa * kappa
     kbar = abs(kappa) / math.sqrt(one_k2)

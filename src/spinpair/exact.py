@@ -11,10 +11,15 @@ situations:
   splitting, which closes the equations of motion in the rotating
   eigenbasis.
 
-Both produce the amplitude pairs of the four canonical initial
-eigenstates, labelled ``x``/``y`` for subspace I and ``z``/``w`` for
-subspace II.  The pairs are exactly unitary and mutually orthogonal
-for all times.
+Both produce the amplitude pairs of the canonical initial eigenstates.
+The pairs are exactly unitary and mutually orthogonal for all times.
+
+An :class:`IC2Setup` describes one block.  Subspace II of a rate-matched
+run needs no code of its own: the Hamiltonian's discrete symmetry maps
+it onto subspace I with ``(kappa, theta10, lambda_m, lambda_z)`` replaced
+by ``(chi, theta20, lambda_p, -lambda_z)``, so ``phi3``/``phi4`` are
+``phi1``/``phi2`` of that mirrored setup (see
+:func:`spinpair.config.build_ic2`).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from . import drive
 from ._kernels import _ic2_field
 from .drive import Constant, DriveProfile
 from .errors import ConfigError, BranchExitError, NotIntegrableError
-from .model import ModelParams, Subspace, diagonal_sign
+from .model import ModelParams, Subspace
 
 __all__ = [
     "PhaseConvention",
@@ -46,14 +51,6 @@ __all__ = [
     "ic2_breakpoints",
     "ic2_kernel_coeffs",
 ]
-
-# initial eigenstate -> (amplitude label, subspace)
-_INITIALS = {
-    "phi1": ("x", Subspace.ONE),
-    "phi2": ("y", Subspace.ONE),
-    "phi3": ("z", Subspace.TWO),
-    "phi4": ("w", Subspace.TWO),
-}
 
 _PROPORTIONALITY_TOL = 1e-10
 _BRANCH_SLACK = 1e-12
@@ -85,16 +82,10 @@ class BlockAmplitudes:
     a1, a2 : complex or ndarray
         Components on the block's ordered basis pair, shaped like the
         evolution time(s).
-    subspace : Subspace
-        Block the amplitudes live in.
-    label : str
-        ``"x"``/``"y"`` (subspace I) or ``"z"``/``"w"`` (subspace II).
     """
 
     a1: complex
     a2: complex
-    subspace: Subspace
-    label: str
 
     def norm(self) -> float | np.ndarray:
         """|a1|**2 + |a2|**2; exactly 1 up to rounding for all propagators here."""
@@ -207,6 +198,8 @@ def _splitting_integral(
         raise ValueError("the nonnegative phase convention requires t >= 0")
     parts, offset = _block_combination(params, subspace, c2, s2)
     parts = {freq: sc for freq, sc in parts.items() if sc != (0.0, 0.0)}
+    if not all(map(math.isfinite, [offset, *(v for sc in parts.values() for v in sc)])):
+        raise NotIntegrableError(f"subspace {subspace.value} splitting overflows")
     if not parts:
         return drive.integral_abs(Constant(offset), t)
     if len(parts) == 1 and offset == 0.0:
@@ -291,69 +284,50 @@ def ic1_evolve(
     NotIntegrableError
         If the block's proportionality fails.
     """
-    try:
-        label, subspace = _INITIALS[initial]
-    except KeyError:
-        raise ValueError(
-            f"initial must be one of {sorted(_INITIALS)}, got {initial!r}"
-        ) from None
-    theta0 = setup.theta10 if subspace is Subspace.ONE else setup.theta20
+    names = ["phi1", "phi2", "phi3", "phi4"]
+    if initial not in names:
+        raise ValueError(f"initial must be one of {names}, got {initial!r}")
+    j = names.index(initial) + 1
+    theta0 = setup.theta10 if j <= 2 else setup.theta20
     c0, s0 = math.cos(theta0), math.sin(theta0)
-    if label in ("x", "z"):
-        ph = ic1_phase(setup, params, t, 1 if subspace is Subspace.ONE else 3, convention)
-        return BlockAmplitudes(c0 * ph, s0 * ph, subspace, label)
-    ph = ic1_phase(setup, params, t, 2 if subspace is Subspace.ONE else 4, convention)
-    return BlockAmplitudes(-s0 * ph, c0 * ph, subspace, label)
+    ph = ic1_phase(setup, params, t, j, convention)
+    # j = 1, 3: the first of the block's pair; j = 2, 4: the orthogonal one
+    return BlockAmplitudes(c0 * ph, s0 * ph) if j % 2 else BlockAmplitudes(-s0 * ph, c0 * ph)
 
 
 @dataclass(frozen=True)
 class IC2Setup:
-    """Rate-matched regime: the mixing angle rotates with the splitting.
+    """Rate-matched regime of one block: the mixing angle rotates with the splitting.
 
-    Subspace I is driven by the coupling ``lambda_m`` with rate
-    constant ``kappa``; subspace II by ``lambda_p`` with rate constant
-    ``chi``.  ``lambda_z`` contributes only a common (subspace-signed)
-    phase.  ``chi=0`` (the default) marks subspace II as unused;
-    subspace-II operations then raise :class:`ConfigError`.
+    The block is driven by the coupling ``lambda_m`` with rate constant
+    ``kappa``; ``lambda_z`` contributes only a common phase.  Written
+    for subspace I; subspace II is the same block on the mirrored
+    setup (see the module docstring).
 
     Parameters
     ----------
     kappa : float
-        Subspace-I rate constant, nonzero.
+        Rate constant, nonzero.
     theta10 : float
-        Initial subspace-I mixing angle, in ``[0, pi/2]``.
+        Initial mixing angle, in ``[0, pi/2]``.
     lambda_m : DriveProfile
-        Subspace-I coupling drive.
+        Coupling drive.
     lambda_z : DriveProfile, optional
         Common diagonal drive; defaults to zero.
-    chi : float, optional
-        Subspace-II rate constant; 0 disables subspace II.
-    theta20 : float, optional
-        Initial subspace-II mixing angle, in ``[0, pi/2]``.
-    lambda_p : DriveProfile, optional
-        Subspace-II coupling drive.
     """
 
     kappa: float
     theta10: float
     lambda_m: DriveProfile
     lambda_z: DriveProfile = Constant(0.0)
-    chi: float = 0.0
-    theta20: float = 0.0
-    lambda_p: DriveProfile = Constant(0.0)
 
     def __post_init__(self):
         if not math.isfinite(self.kappa) or self.kappa == 0.0:
             raise ValueError("kappa must be finite and nonzero")
-        if not math.isfinite(self.chi):
-            raise ValueError("chi must be finite")
-        for name, rate in (("kappa", self.kappa), ("chi", self.chi)):
-            if 0.0 < abs(rate) < _MIN_RATE:
-                raise ValueError(f"|{name}| must be 0 or at least {_MIN_RATE:g}")
+        if abs(self.kappa) < _MIN_RATE:
+            raise ValueError(f"|kappa| must be 0 or at least {_MIN_RATE:g}")
         if not 0.0 <= self.theta10 <= 0.5 * math.pi:
             raise ValueError("theta10 must lie in [0, pi/2]")
-        if not 0.0 <= self.theta20 <= 0.5 * math.pi:
-            raise ValueError("theta20 must lie in [0, pi/2]")
 
 
 @dataclass(frozen=True)
@@ -362,14 +336,6 @@ class Admissibility:
 
     valid: bool
     reason: str | None = None
-
-
-def _ic2_pair(setup: IC2Setup, subspace: Subspace) -> tuple[float, float, DriveProfile]:
-    if subspace is Subspace.ONE:
-        return setup.kappa, setup.theta10, setup.lambda_m
-    if setup.chi == 0.0:
-        raise ConfigError("subspace II requested but chi is 0 (unused)")
-    return setup.chi, setup.theta20, setup.lambda_p
 
 
 def _coupling_sinusoid(profile: DriveProfile) -> tuple[float, float, float] | None:
@@ -383,7 +349,7 @@ def _coupling_sinusoid(profile: DriveProfile) -> tuple[float, float, float] | No
     return amp, freq, phase
 
 
-def ic2_admissible(setup: IC2Setup, subspace: Subspace = Subspace.ONE) -> Admissibility:
+def ic2_admissible(setup: IC2Setup) -> Admissibility:
     """Check that the mixing angle stays on the principal branch for all t.
 
     The coupling drive must be a pure sinusoid ``mu*sin(beta*t + phi)``.
@@ -392,11 +358,8 @@ def ic2_admissible(setup: IC2Setup, subspace: Subspace = Subspace.ONE) -> Admiss
     for ``theta0 = 0`` the phase must vanish and
     ``0 <= 4*rate*mu/beta <= 1``.  Returns a verdict, never raises.
     """
-    try:
-        rate, theta0, profile = _ic2_pair(setup, subspace)
-    except ConfigError as exc:
-        return Admissibility(False, str(exc))
-    sinus = _coupling_sinusoid(profile)
+    rate, theta0 = setup.kappa, setup.theta10
+    sinus = _coupling_sinusoid(setup.lambda_m)
     if sinus is None:
         return Admissibility(
             False, "coupling drive must be a pure sinusoid with nonzero amplitude"
@@ -435,9 +398,7 @@ def ic2_admissible(setup: IC2Setup, subspace: Subspace = Subspace.ONE) -> Admiss
     return Admissibility(True)
 
 
-def ic2_theta(
-    setup: IC2Setup, t: float | np.ndarray, subspace: Subspace = Subspace.ONE
-) -> float | np.ndarray:
+def ic2_theta(setup: IC2Setup, t: float | np.ndarray) -> float | np.ndarray:
     """Mixing angle at time t on the principal branch ``2*theta in [0, pi]``.
 
     ``cos(2*theta(t)) = cos(2*theta0) - 2*rate*integral(coupling, [0, t])``.
@@ -449,9 +410,8 @@ def ic2_theta(
         If the cosine argument leaves ``[-1, 1]`` by more than 1e-12 at
         any of the times (an admissible setup never does).
     """
-    rate, theta0, profile = _ic2_pair(setup, subspace)
     t = np.asarray(t, dtype=float)
-    c = math.cos(2.0 * theta0) - 2.0 * rate * drive.integral(profile, t)
+    c = math.cos(2.0 * setup.theta10) - 2.0 * setup.kappa * drive.integral(setup.lambda_m, t)
     exits = np.flatnonzero(np.abs(c) > 1.0 + _BRANCH_SLACK)
     if exits.size:
         i = exits[0]
@@ -468,7 +428,7 @@ def ic2_evolve(setup: IC2Setup, t: float | np.ndarray, initial: str) -> BlockAmp
     With ``theta`` the angle from :func:`ic2_theta`,
     ``delta = (theta - theta0)*sqrt(1 + rate**-2)``,
     ``rbar = 1/sqrt(1 + rate**-2)`` and ``L`` the accumulated diagonal
-    phase ``exp(-i*integral(lambda_z)/4)`` (conjugated for subspace II):
+    phase ``exp(-i*integral(lambda_z)/4)``:
 
     ``x1 = L*(cos(theta)*(cos(delta) - i*rbar*sin(delta)/rate) + sin(theta)*rbar*sin(delta))``
     ``x2 = L*(sin(theta)*(cos(delta) - i*rbar*sin(delta)/rate) - cos(theta)*rbar*sin(delta))``
@@ -478,45 +438,37 @@ def ic2_evolve(setup: IC2Setup, t: float | np.ndarray, initial: str) -> BlockAmp
     ``y1 = L*(-sin(theta)*(cos(delta) + i*rbar*sin(delta)/rate) + cos(theta)*rbar*sin(delta))``
     ``y2 = L*(cos(theta)*(cos(delta) + i*rbar*sin(delta)/rate) + sin(theta)*rbar*sin(delta))``.
 
-    Subspace II follows the same expressions with its own rate, angle
-    and coupling.  The pairs are exactly unitary and orthogonal.  ``t``
-    is a float or an array of times; the amplitudes are shaped like it.
+    ``initial`` is ``"phi1"`` (the pair ``x``) or ``"phi2"`` (``y``).
+    The pairs are exactly unitary and orthogonal.  ``t`` is a float or
+    an array of times; the amplitudes are shaped like it.
 
     Raises
     ------
     BranchExitError
         If the angle leaves the principal branch (inadmissible setup).
-    ConfigError
-        If subspace II is requested while disabled.
     """
-    try:
-        label, subspace = _INITIALS[initial]
-    except KeyError:
-        raise ValueError(
-            f"initial must be one of {sorted(_INITIALS)}, got {initial!r}"
-        ) from None
-    rate, theta0, _profile = _ic2_pair(setup, subspace)
-    theta = ic2_theta(setup, t, subspace)
+    if initial not in ("phi1", "phi2"):
+        raise ValueError(f"initial must be 'phi1' or 'phi2', got {initial!r}")
+    rate = setup.kappa
+    theta = ic2_theta(setup, t)
     stretch = math.sqrt(1.0 + rate**-2)
     rbar = 1.0 / stretch
-    delta = (theta - theta0) * stretch
+    delta = (theta - setup.theta10) * stretch
     lz = 0.25 * drive.integral(setup.lambda_z, t)
-    lam = np.exp(-1j * diagonal_sign(subspace) * lz)
+    lam = np.exp(-1j * lz)
     cth, sth = np.cos(theta), np.sin(theta)
     cd, sd = np.cos(delta), np.sin(delta)
     inv = rbar / rate
-    if label in ("x", "z"):
+    if initial == "phi1":
         a1 = lam * (cth * (cd - 1j * inv * sd) + sth * rbar * sd)
         a2 = lam * (sth * (cd - 1j * inv * sd) - cth * rbar * sd)
     else:
         a1 = lam * (-sth * (cd + 1j * inv * sd) + cth * rbar * sd)
         a2 = lam * (cth * (cd + 1j * inv * sd) + sth * rbar * sd)
-    return BlockAmplitudes(a1, a2, subspace, label)
+    return BlockAmplitudes(a1, a2)
 
 
-def ic2_derived_field(
-    setup: IC2Setup, t: float, subspace: Subspace = Subspace.ONE
-) -> float:
+def ic2_derived_field(setup: IC2Setup, t: float) -> float:
     """Block field implied by the rate matching: coupling/tan(2*theta).
 
     Evaluated cancellation-free; the removable singularity at
@@ -528,22 +480,18 @@ def ic2_derived_field(
     Raises
     ------
     ConfigError
-        If the coupling is not a pure sinusoid, or subspace II is
-        requested while disabled.
+        If the coupling is not a pure sinusoid.
     """
-    rate, theta0, profile = _ic2_pair(setup, subspace)
-    sinus = _coupling_sinusoid(profile)
+    sinus = _coupling_sinusoid(setup.lambda_m)
     if sinus is None:
         raise ConfigError("derived field requires a pure sinusoidal coupling")
     mu, beta, phi = sinus
-    c0 = math.cos(2.0 * theta0)
+    c0 = math.cos(2.0 * setup.theta10)
     # the same scalar helper integrate_block_ic2's RK4 steps with
-    return _ic2_field(mu, beta, phi, rate, c0, 1.0 - c0, t)
+    return _ic2_field(mu, beta, phi, setup.kappa, c0, 1.0 - c0, t)
 
 
-def ic2_breakpoints(
-    setup: IC2Setup, t_end: float, subspace: Subspace = Subspace.ONE
-) -> list[float]:
+def ic2_breakpoints(setup: IC2Setup, t_end: float) -> list[float]:
     """Times in (0, t_end) where the angle touches the branch edge.
 
     The derived field jumps at these times, so numeric integration
@@ -553,13 +501,12 @@ def ic2_breakpoints(
     Raises
     ------
     ConfigError
-        If the coupling is neither a pure sinusoid nor a constant, or
-        subspace II is requested while disabled.
+        If the coupling is neither a pure sinusoid nor a constant.
     """
-    rate, theta0, profile = _ic2_pair(setup, subspace)
+    rate, profile = setup.kappa, setup.lambda_m
     if t_end <= 0.0:
         return []
-    c0 = math.cos(2.0 * theta0)
+    c0 = math.cos(2.0 * setup.theta10)
     out: list[float] = []
     sinus = _coupling_sinusoid(profile)
     if sinus is not None:
@@ -609,30 +556,23 @@ def ic2_breakpoints(
     return deduped
 
 
-def ic2_kernel_coeffs(
-    setup: IC2Setup, subspace: Subspace = Subspace.ONE
-) -> tuple[float, ...]:
+def ic2_kernel_coeffs(setup: IC2Setup) -> tuple[float, ...]:
     """Coefficient vector driving the rate-matched numeric kernel.
 
-    Layout: ``(mu, beta, phi, rate, cos(2*theta0), 1 - cos(2*theta0))``
-    followed by the two-term diagonal drive (negated for subspace II).
+    Layout: ``(mu, beta, phi, kappa, cos(2*theta10), 1 - cos(2*theta10))``
+    followed by the two-term diagonal drive.
     Feed to :func:`spinpair.oracle.integrate_block_ic2` together with
     :func:`ic2_breakpoints`.
 
     Raises
     ------
     ConfigError
-        If the coupling is not a pure sinusoid, or subspace II is
-        requested while disabled.
+        If the coupling is not a pure sinusoid.
     """
-    rate, theta0, profile = _ic2_pair(setup, subspace)
-    sinus = _coupling_sinusoid(profile)
+    sinus = _coupling_sinusoid(setup.lambda_m)
     if sinus is None:
         raise ConfigError("kernel coefficients require a pure sinusoidal coupling")
     mu, beta, phi = sinus
-    c0 = math.cos(2.0 * theta0)
+    c0 = math.cos(2.0 * setup.theta10)
     amp, freq, phase, offset = drive.single_term(setup.lambda_z)
-    sign = diagonal_sign(subspace)
-    return (
-        mu, beta, phi, rate, c0, 1.0 - c0, sign * amp, freq, phase, 0.0, 0.0, 0.0, sign * offset
-    )
+    return (mu, beta, phi, setup.kappa, c0, 1.0 - c0, amp, freq, phase, 0.0, 0.0, 0.0, offset)

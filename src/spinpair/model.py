@@ -38,7 +38,6 @@ __all__ = [
     "hamiltonian_uncoupled",
     "hamiltonian_coupled",
     "block",
-    "diagonal_sign",
     "spectrum",
     "static_ground_state",
     "basis_change_matrix",
@@ -85,6 +84,8 @@ def _combine(c1: float, p1: DriveProfile, c2: float, p2: DriveProfile) -> DriveP
                 "profile combination mixes incommensurate sinusoids; "
                 "specify the primitive profiles directly"
             )
+    if not all(map(math.isfinite, [offset] + [a for a, _b, _ph in terms])):
+        raise ConfigError("profile combination overflows; specify the primitive profiles")
     if not terms:
         return Constant(offset)
     amp, freq, phase = terms[0]
@@ -178,11 +179,6 @@ class ModelParams:
         for p in (self.lambda_x, self.lambda_y, self.lambda_z, self.omega_1, self.omega_2):
             out.extend(drive.frequencies(p))
         return out
-
-
-def diagonal_sign(subspace: Subspace) -> float:
-    """Sign of ``lambda_z/4`` on the diagonal of the subspace's block."""
-    return _BLOCKS[subspace][2]
 
 
 def _two_by_two(field, coupling, z) -> np.ndarray:

@@ -205,17 +205,18 @@ def test_rwa_setup_validation():
         RwaSetup(RwaMode.LAMBDA_DRIVE, 1.0, Constant(0.3), 0.0)
     with pytest.raises(ValueError):
         RwaSetup(RwaMode.LAMBDA_DRIVE, 1.0, Sinusoid(0.3, -2.0), 0.0)
-    # each of these gave NaN amplitudes from rwa_evolve
+    # each of these gave NaN amplitudes from rwa_evolve; a non-finite
+    # drive is refused by the Sinusoid itself
     nan, inf = math.nan, math.inf
     for static, drive_, theta10 in (
-        (nan, Sinusoid(0.3, 2.0), 0.0),
-        (inf, Sinusoid(0.3, 2.0), 0.0),
-        (1.0, Sinusoid(0.3, 2.0), nan),
-        (1.0, Sinusoid(0.3, nan), 0.0),
-        (1.0, Sinusoid(0.3, inf), 0.0),
-        (1.0, Sinusoid(nan, 2.0), 0.0),
-        (1.0, Sinusoid(0.3, 2.0, nan), 0.0),
+        (nan, (0.3, 2.0), 0.0),
+        (inf, (0.3, 2.0), 0.0),
+        (1.0, (0.3, 2.0), nan),
+        (1.0, (0.3, nan), 0.0),
+        (1.0, (0.3, inf), 0.0),
+        (1.0, (nan, 2.0), 0.0),
+        (1.0, (0.3, 2.0, nan), 0.0),
     ):
         for mode in RwaMode:
             with pytest.raises(ValueError, match="finite"):
-                RwaSetup(mode, static, drive_, theta10)
+                RwaSetup(mode, static, Sinusoid(*drive_), theta10)

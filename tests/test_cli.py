@@ -26,6 +26,7 @@ from spinpair.config import build_ic1, build_ic2, build_perturbation, build_rwa,
 from spinpair.entangle import FourState, concurrence_pure
 from spinpair.errors import AdmissibilityError, ConfigError, NormDriftError
 from spinpair.exact import ic1_evolve, ic2_evolve
+from spinpair.oracle import IntegratorConfig, integrate_block_fn
 
 SINUSOID = {"kind": "sinusoid", "amplitude": 2.0, "frequency": 50.0, "phase": math.pi / 50}
 
@@ -234,9 +235,12 @@ def per_sample_reference(cfg):
             angles = (setup.theta10, setup.theta20)
             evolve = lambda t, phi: ic1_evolve(setup, params, t, phi, convention)
         elif cfg.mode == "ic2":
-            setup = build_ic2(section)
-            angles = (setup.theta10, setup.theta20)
-            evolve = lambda t, phi: ic2_evolve(setup, t, phi)
+            one, two = build_ic2(section)
+            angles = (one.theta10, two.theta10)
+            # phi3/phi4 are phi1/phi2 of the mirrored subspace-II block
+            blocks = {"phi1": (one, "phi1"), "phi2": (one, "phi2"),
+                      "phi3": (two, "phi1"), "phi4": (two, "phi2")}
+            evolve = lambda t, phi: ic2_evolve(blocks[phi][0], t, blocks[phi][1])
         else:
             setup = build_rwa(section)
             angles = (setup.theta10, 0.0)
@@ -281,6 +285,29 @@ def test_trace_matches_per_sample_scalar_calls(case):
     if mode in ("ic1", "ic2"):
         # both blocks are populated, so both are propagated
         assert np.all(np.abs(trace.amplitudes[1:, 2:]) > 0.0)
+
+
+def test_ic2_subspace_two_matches_rk4_of_its_own_block():
+    # an oracle apart from the I<->II mirror: RK4 on the subspace-II block
+    # [[w + z, lp], [lp, -w + z]] with z = -lambda_z/4 and the rate-matched
+    # field w = lp/tan(2*theta2), theta2 from the naive cosine formula
+    initial, section = AGREEMENT_SECTIONS["ic2"]
+    data = {"mode": "ic2", "initial_state": initial, "time": {"t_end": 2.0, "samples": 201}}
+    cfg = parse_config(dict(data, ic2=section), "ic2")
+    trace = compute_trace(cfg)
+    chi, theta20, lz = section["chi"], section["theta20"], section["lambda_z"]
+    mu, beta = section["lambda_p"]["amplitude"], section["lambda_p"]["frequency"]
+
+    def hfun(t):
+        lp = mu * math.sin(beta * t)
+        cos2 = math.cos(2.0 * theta20) - 2.0 * chi * (mu / beta) * (1.0 - math.cos(beta * t))
+        w = lp / math.tan(math.acos(cos2))
+        z = -lz / 4.0
+        return ((w + z, lp), (lp, -w + z))
+
+    cfg_rk4 = IntegratorConfig(step=1e-3, norm_tolerance=1e-8)
+    rk4 = integrate_block_fn(hfun, cfg.initial[2:], 2.0, cfg_rk4, sample_times=trace.times)
+    assert np.max(np.abs(rk4.amplitudes - trace.amplitudes[:, 2:])) < 1e-8
 
 
 # --- statistics -----------------------------------------------------------------

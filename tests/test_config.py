@@ -17,7 +17,7 @@ from spinpair.config import (
 )
 from spinpair.drive import Constant, Scaled, Sinusoid
 from spinpair.errors import ConfigError
-from spinpair.exact import PhaseConvention
+from spinpair.exact import IC2Setup, PhaseConvention
 from spinpair.model import Subspace
 
 SINUSOID_NODE = {"kind": "sinusoid", "amplitude": 2.0, "frequency": 50.0, "phase": 0.1}
@@ -232,14 +232,54 @@ def test_build_ic1_nonnegative_convention():
 
 
 def test_build_ic2():
-    setup = build_ic2(
+    one, two = build_ic2(
         {"kappa": 0.1, "theta10": 0.4, "lambda_m": dict(SINUSOID_NODE), "lambda_z": 0.3}
     )
-    assert setup.kappa == 0.1
-    assert setup.lambda_z == Constant(0.3)
-    assert setup.chi == 0.0
+    assert one == IC2Setup(0.1, 0.4, Sinusoid(2.0, 50.0, 0.1), Constant(0.3))
+    # chi absent (0): subspace II is unused
+    assert two is None
     with pytest.raises(ConfigError):
         build_ic2({"kappa": 0.0, "theta10": 0.4, "lambda_m": dict(SINUSOID_NODE)})
+    # the I<->II map: subspace II is subspace I on (chi, theta20, lambda_p, -lambda_z)
+    _one, two = build_ic2({
+        "kappa": 0.1, "theta10": 0.4, "lambda_m": dict(SINUSOID_NODE), "lambda_z": 0.3,
+        "chi": 0.2, "theta20": 0.3, "lambda_p": dict(SINUSOID_NODE, amplitude=-1.0),
+    })
+    assert two == IC2Setup(0.2, 0.3, Sinusoid(-1.0, 50.0, 0.1), Constant(-0.3))
+
+
+IC2_SECTION = {"kappa": 0.1, "theta10": 0.4, "lambda_m": dict(SINUSOID_NODE)}
+
+
+CHI_TINY = r"ic2: \|chi\| must be 0 or at least 1e-150"
+THETA20_RANGE = r"ic2: theta20 must lie in \[0, pi/2\]"
+
+
+@pytest.mark.parametrize("case", [
+    ({"chi": 1e-160}, CHI_TINY),
+    ({"chi": -1e-160, "theta20": 0.3}, CHI_TINY),
+    ({"chi": math.nan}, "ic2.chi must be finite"),
+    ({"chi": -math.inf}, "ic2.chi must be finite"),
+    ({"chi": "x"}, "ic2.chi must be a number"),
+    # with chi absent or 0 the subspace-II keys are still checked
+    ({"theta20": 2.0}, THETA20_RANGE),
+    ({"chi": 0.0, "theta20": -0.1}, THETA20_RANGE),
+    ({"chi": 0.2, "theta20": 2.0}, THETA20_RANGE),
+    ({"theta20": math.inf}, "ic2.theta20 must be finite"),
+    ({"lambda_p": {"kind": "bogus"}}, "ic2.lambda_p.kind must be one of"),
+    ({"lambda_p": "x"}, "ic2.lambda_p must be a mapping"),
+    ({"chi": 0.2, "lambda_p": {"kind": "bogus"}}, "ic2.lambda_p.kind must be one of"),
+], ids=lambda case: ",".join(f"{k}={v}" for k, v in sorted(case[0].items())))
+def test_parse_config_rejects_ic2_subspace_two_keys(case):
+    extra, match = case
+    data = {
+        "mode": "ic2",
+        "initial_state": "pp",
+        "time": {"t_end": 1.0, "samples": 11},
+        "ic2": dict(IC2_SECTION, **extra),
+    }
+    with pytest.raises(ConfigError, match=match):
+        parse_config(data, "stem")
 
 
 def test_build_rwa():

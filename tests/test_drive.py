@@ -42,6 +42,20 @@ def test_sinusoid_rejects_zero_frequency():
         Sinusoid(1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_profiles_reject_non_finite_numbers(bad):
+    # a NaN profile used to pass ic2_admissible and give NaN amplitudes
+    for make in (
+        lambda: Constant(bad),
+        lambda: Sinusoid(bad, 5.0),
+        lambda: Sinusoid(1.0, bad),
+        lambda: Sinusoid(1.0, 5.0, bad),
+        lambda: Scaled(bad, Constant(1.0)),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+
 @pytest.mark.parametrize("profile", PROFILES)
 @pytest.mark.parametrize("t", [0.0, 0.3, 1.7, -0.9, 12.0])
 def test_integral_matches_quadrature(profile, t):

@@ -19,7 +19,6 @@ from spinpair.entangle import (
 )
 from spinpair.errors import InvalidDensityMatrixError
 from spinpair.exact import BlockAmplitudes, IC1Setup, IC2Setup, ic1_evolve, ic1_phase, ic2_evolve
-from spinpair.model import Subspace
 
 R2 = math.sqrt(0.5)
 
@@ -155,8 +154,8 @@ def synthetic_pairs(rng, theta0):
     x = u @ np.array([c0, s0])
     y = u @ np.array([-s0, c0])
     return (
-        BlockAmplitudes(x[0], x[1], Subspace.ONE, "x"),
-        BlockAmplitudes(y[0], y[1], Subspace.ONE, "y"),
+        BlockAmplitudes(x[0], x[1]),
+        BlockAmplitudes(y[0], y[1]),
     )
 
 

@@ -163,6 +163,9 @@ def test_from_derived_rejects_incommensurate_mix():
             omega_plus=Sinusoid(1.0, 3.0),
             omega_minus=Constant(0.5),
         )
+    # omega_1 = omega_plus + omega_minus overflows; profiles refuse inf
+    with pytest.raises(ConfigError, match="overflows"):
+        ModelParams.from_derived(omega_plus=Constant(1e308), omega_minus=Constant(1e308))
 
 
 # each derived drive's place in the block table: (subspace, entry of

@@ -5,7 +5,7 @@ import pytest
 
 from spinpair import _kernels
 from spinpair.config import build_ic1
-from spinpair.drive import Constant, Sinusoid
+from spinpair.drive import Constant, Scaled, Sinusoid
 from spinpair.errors import BranchExitError, ConfigError, NormDriftError
 from spinpair.exact import IC2Setup, ic1_evolve, ic2_breakpoints, ic2_kernel_coeffs
 from spinpair.model import ModelParams, Subspace
@@ -179,8 +179,8 @@ def test_integrate_block_fn_piecewise_with_breakpoints():
 
 def test_integrate_block_ic2_runs_and_conserves_norm():
     setup = IC2Setup(kappa=0.1, theta10=math.pi / 4, lambda_m=Sinusoid(4.0, 50.0, math.pi / 50))
-    coeffs = ic2_kernel_coeffs(setup, Subspace.ONE)
-    marks = ic2_breakpoints(setup, 1.0, Subspace.ONE)
+    coeffs = ic2_kernel_coeffs(setup)
+    marks = ic2_breakpoints(setup, 1.0)
     cfg = IntegratorConfig(step=2e-4, norm_tolerance=1e-8)
     trace = integrate_block_ic2(
         coeffs, [1.0, 0.0], 1.0, cfg, sample_times=[0.0, 0.5, 1.0], breakpoints=marks
@@ -196,7 +196,7 @@ def test_integrate_block_ic2_branch_exit_is_typed(theta10):
     setup = IC2Setup(
         kappa=0.3, theta10=theta10, lambda_m=Sinusoid(50.0, 20.0, 0.0), lambda_z=Constant(0.2)
     )
-    coeffs = ic2_kernel_coeffs(setup, Subspace.ONE)
+    coeffs = ic2_kernel_coeffs(setup)
     cfg = IntegratorConfig(step=1e-3)
     with pytest.raises(BranchExitError, match="branch edge"):
         integrate_block_ic2(coeffs, [1.0, 0.0], 0.5, cfg, sample_times=[0.0, 0.5])
@@ -319,7 +319,14 @@ def test_magnus_refuses_a_step_too_long_for_the_drives():
     with pytest.raises(ConfigError, match="norm bound"):
         magnus_full(edge, [1.0, 0.0, 0.0, 0.0], 1.0, IntegratorConfig(step=1.0 / 5.2))
     magnus_full(edge, [1.0, 0.0, 0.0, 0.0], 1.0, IntegratorConfig(step=0.99 / 5.2))
-    nan = ModelParams.from_derived(omega_plus=Constant(math.nan))
+    # finite profiles whose field overflows: inf - inf gives a NaN bound
+    nan = ModelParams(
+        lambda_x=Constant(0.0),
+        lambda_y=Constant(0.0),
+        lambda_z=Constant(0.0),
+        omega_1=Scaled(1e308, Constant(1e308)),
+        omega_2=Scaled(-1e308, Constant(1e308)),
+    )
     with pytest.raises(ConfigError, match="norm bound nan"):
         magnus_full(nan, [1.0, 0.0, 0.0, 0.0], 1.0, IntegratorConfig(step=1e-3))
 

@@ -80,7 +80,6 @@ from .model import (
     ModelParams,
     Spectrum,
     StaticGroundState,
-    Subspace,
     basis_change_matrix,
     block,
     hamiltonian_coupled,
@@ -123,7 +122,6 @@ __all__ = [
     "single_term",
     "frequencies",
     # model
-    "Subspace",
     "ModelParams",
     "Spectrum",
     "StaticGroundState",

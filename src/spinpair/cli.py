@@ -31,11 +31,11 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .approx import perturb_x1, perturb_x2, rwa_evolve, rwa_orthogonal
-from .config import RunConfig, apply_sweep_value, load_config, parse_config
+from .config import RunConfig, apply_sweep_value, load_config, parse_config, sweep_point_name
 from .entangle import _mixing_pair, concurrence_pure
 from .errors import AdmissibilityError, ConfigError, NormDriftError, SpinpairError
 from .exact import BlockAmplitudes, ic1_evolve, ic2_admissible, ic2_evolve
-from .model import Subspace, spectrum
+from .model import map_params_I_to_II, spectrum
 from .oracle import IntegratorConfig, magnus_full, suggest_step
 
 __all__ = [
@@ -217,8 +217,8 @@ def _trace_numeric(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
     params, step = cfg.setup
     if step is None:
         step = suggest_step(params, cfg.t_end)
-    theta10 = spectrum(params, 0.0, Subspace.ONE).theta
-    theta20 = spectrum(params, 0.0, Subspace.TWO).theta
+    theta10 = spectrum(params, 0.0).theta
+    theta20 = spectrum(map_params_I_to_II(params), 0.0).theta
     initial = cfg.initial_amplitudes(theta10, theta20)
     trace = magnus_full(
         params, initial, cfg.t_end, IntegratorConfig(step=step), sample_times=times
@@ -286,7 +286,7 @@ def _sweep_point(
     base: RunConfig, value: float, outdir: Path
 ) -> tuple[float, dict[str, float], Path]:
     data = apply_sweep_value(base.data, base.sweep.parameter, value)
-    data["name"] = f"{base.name}_{value:g}"
+    data["name"] = sweep_point_name(base.name, value)
     cfg = parse_config(data, data["name"])
     trace = compute_trace(cfg)
     path = outdir / f"{cfg.name}.csv"

@@ -41,6 +41,7 @@ __all__ = [
     "load_config",
     "parse_config",
     "apply_sweep_value",
+    "sweep_point_name",
     "parse_profile",
     "build_ic1",
     "build_ic2",
@@ -251,6 +252,14 @@ def parse_config(data: Any, name: str) -> RunConfig:
     if sweep is not None:
         # the path must resolve against this very config
         apply_sweep_value(mapping, sweep.parameter, sweep.values[0])
+        points: dict[str, float] = {}
+        for value in sweep.values:
+            point = sweep_point_name(cfg_name, value)
+            first = points.setdefault(point, value)
+            if first != value:
+                raise ConfigError(
+                    f"sweep.values {first!r} and {value!r} both write the point file {point}.csv"
+                )
     return RunConfig(
         name=cfg_name,
         mode=mode,
@@ -275,6 +284,11 @@ def load_config(path: str | Path) -> RunConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML in {p}: {exc}") from exc
     return parse_config(data, p.stem)
+
+
+def sweep_point_name(name: str, value: float) -> str:
+    """Name of one sweep point's run, and so the stem of its trace file."""
+    return f"{name}_{value:g}"
 
 
 def apply_sweep_value(data: dict, parameter: str, value: float) -> dict:
@@ -354,8 +368,8 @@ def build_ic2(section: Any) -> tuple[IC2Setup, IC2Setup | None]:
     """Rate-matched section: one :class:`IC2Setup` per subspace.
 
     Keys: ``kappa``, ``theta10``, ``lambda_m`` (profile), optional
-    ``lambda_z``, ``chi``, ``theta20``, ``lambda_p``.  Subspace II is
-    subspace I under the paper's I<->II map, so its block is
+    ``lambda_z``, ``chi``, ``theta20``, ``lambda_p``.  The paper's
+    I<->II map makes subspace II's block subspace I's on
     ``IC2Setup(chi, theta20, lambda_p, -lambda_z)``; it is ``None``
     when ``chi`` is 0 (absent), which leaves subspace II unused.
     """

@@ -14,11 +14,13 @@ situations:
 Both produce the amplitude pairs of the canonical initial eigenstates.
 The pairs are exactly unitary and mutually orthogonal for all times.
 
-An :class:`IC2Setup` describes one block.  Subspace II of a rate-matched
-run needs no code of its own: the Hamiltonian's discrete symmetry maps
-it onto subspace I with ``(kappa, theta10, lambda_m, lambda_z)`` replaced
-by ``(chi, theta20, lambda_p, -lambda_z)``, so ``phi3``/``phi4`` are
-``phi1``/``phi2`` of that mirrored setup (see
+Each closed form is written for subspace I's block only; subspace II
+needs no code of its own, since the Hamiltonian's discrete symmetry maps
+it onto subspace I (:func:`spinpair.model.map_params_I_to_II`).  So the
+proportional ``phi3``/``phi4`` are ``phi1``/``phi2`` of
+``IC1Setup(setup.k2, setup.theta20)`` on the mapped parameters, and a
+rate-matched subspace II is the subspace-I block on the mirrored setup
+``(chi, theta20, lambda_p, -lambda_z)`` (see
 :func:`spinpair.config.build_ic2`).
 """
 
@@ -34,7 +36,7 @@ from . import drive
 from ._kernels import _ic2_field
 from .drive import Constant, DriveProfile
 from .errors import ConfigError, BranchExitError, NotIntegrableError
-from .model import ModelParams, Subspace
+from .model import ModelParams, map_params_I_to_II
 
 __all__ = [
     "PhaseConvention",
@@ -137,13 +139,13 @@ class IC1Setup:
 
 
 def _block_combination(
-    params: ModelParams, subspace: Subspace, c_field: float, c_coupling: float
+    params: ModelParams, c_field: float, c_coupling: float
 ) -> tuple[dict[float, tuple[float, float]], float]:
-    # c_field*field + c_coupling*coupling, exactly, as
+    # c_field*field + c_coupling*coupling of subspace I's block, exactly, as
     # ({frequency > 0: (sin part, cos part)}, offset): each term
     # a*sin(b*t + p) adds a*cos(p) to the sin(b*t) and a*sin(p) to the
     # cos(b*t) coefficient of |b|, after (a, b, p) -> (-a, -b, -p) for b < 0
-    terms = params.block_terms(subspace)
+    terms = params.block_terms()
     parts: dict[float, tuple[float, float]] = {}
     offset = c_field * terms[6] + c_coupling * terms[13]
     for coef, i in ((c_field, 0), (c_field, 3), (c_coupling, 7), (c_coupling, 10)):
@@ -160,27 +162,23 @@ def _block_combination(
     return parts, offset
 
 
-def _require_proportional(setup: IC1Setup, params: ModelParams, subspace: Subspace) -> None:
-    # cos(2*theta0)*coupling - sin(2*theta0)*field must vanish for all t;
+def _require_proportional(setup: IC1Setup, params: ModelParams) -> None:
+    # cos(2*theta10)*coupling - sin(2*theta10)*field must vanish for all t;
     # its sup is bounded by the summed term amplitudes plus the offset,
     # scaled by the larger summed amplitude of the field and the coupling
-    theta0 = setup.theta10 if subspace is Subspace.ONE else setup.theta20
-    parts, offset = _block_combination(
-        params, subspace, -math.sin(2.0 * theta0), math.cos(2.0 * theta0)
-    )
+    theta0 = setup.theta10
+    parts, offset = _block_combination(params, -math.sin(2.0 * theta0), math.cos(2.0 * theta0))
     resid = sum(math.hypot(s, c) for s, c in parts.values()) + abs(offset)
-    terms = params.block_terms(subspace)
+    terms = params.block_terms()
     scale = max(1.0, *(abs(terms[i]) + abs(terms[i + 3]) + abs(terms[i + 6]) for i in (0, 7)))
     if not resid <= _PROPORTIONALITY_TOL * scale:
         raise NotIntegrableError(
-            f"subspace {subspace.value} coupling is not proportional to its "
-            f"field (scaled residual {resid / scale:.3e})"
+            f"coupling is not proportional to its field (scaled residual {resid / scale:.3e})"
         )
 
 
 def _splitting_integral(
     params: ModelParams,
-    subspace: Subspace,
     theta0: float,
     t: np.ndarray,
     convention: PhaseConvention,
@@ -196,18 +194,18 @@ def _splitting_integral(
         return c2 * field + s2 * coupling
     if np.any(t < 0.0):
         raise ValueError("the nonnegative phase convention requires t >= 0")
-    parts, offset = _block_combination(params, subspace, c2, s2)
+    parts, offset = _block_combination(params, c2, s2)
     parts = {freq: sc for freq, sc in parts.items() if sc != (0.0, 0.0)}
     if not all(map(math.isfinite, [offset, *(v for sc in parts.values() for v in sc)])):
-        raise NotIntegrableError(f"subspace {subspace.value} splitting overflows")
+        raise NotIntegrableError("splitting overflows")
     if not parts:
         return drive.integral_abs(Constant(offset), t)
     if len(parts) == 1 and offset == 0.0:
         ((freq, (s, c)),) = parts.items()
         return drive.integral_abs(drive.Sinusoid(math.hypot(s, c), freq, math.atan2(c, s)), t)
     raise NotIntegrableError(
-        f"subspace {subspace.value} splitting mixes several frequencies or a "
-        "sinusoid with an offset, so its magnitude has no closed integral; "
+        "splitting mixes several frequencies or a sinusoid with an offset, "
+        "so its magnitude has no closed integral; "
         "use the signed phase convention"
     )
 
@@ -252,12 +250,16 @@ def ic1_phase(
     """
     if j not in (1, 2, 3, 4):
         raise ValueError("eigenstate index must be 1, 2, 3 or 4")
-    subspace = Subspace.ONE if j <= 2 else Subspace.TWO
-    _require_proportional(setup, params, subspace)
-    theta0 = setup.theta10 if subspace is Subspace.ONE else setup.theta20
+    if j > 2:
+        # subspace II is subspace I of the mirrored setup and parameters
+        setup, params = IC1Setup(setup.k2, setup.theta20), map_params_I_to_II(params)
     t = np.asarray(t, dtype=float)
-    field, coupling, diag = params.block_integrals(subspace, t)
-    split = _splitting_integral(params, subspace, theta0, t, convention, field, coupling)
+    field, coupling, diag = params.block_integrals(t)
+    try:
+        _require_proportional(setup, params)
+        split = _splitting_integral(params, setup.theta10, t, convention, field, coupling)
+    except NotIntegrableError as exc:
+        raise NotIntegrableError(f"subspace {'I' if j <= 2 else 'II'} {exc}") from None
     # j = 1, 3: the upper eigenvalue diag + splitting; j = 2, 4: the lower
     return np.exp(-1j * (diag + split if j % 2 else diag - split))
 
@@ -325,7 +327,7 @@ class IC2Setup:
         if not math.isfinite(self.kappa) or self.kappa == 0.0:
             raise ValueError("kappa must be finite and nonzero")
         if abs(self.kappa) < _MIN_RATE:
-            raise ValueError(f"|kappa| must be 0 or at least {_MIN_RATE:g}")
+            raise ValueError(f"|kappa| must be at least {_MIN_RATE:g}")
         if not 0.0 <= self.theta10 <= 0.5 * math.pi:
             raise ValueError("theta10 must lie in [0, pi/2]")
 

@@ -9,20 +9,19 @@ Basis conventions (frozen contract):
 The Hamiltonian is block diagonal in both orders; the first block acts
 on ``{|++>, |-->}`` (subspace I), the second on the remaining pair
 (subspace II).  Each block is ``[[field + z, coupling], [coupling,
--field + z]]``, with field, coupling and diagonal ``z`` read from one
-table, ``_BLOCKS``:
-
-* subspace I: field ``omega_plus = (omega_1 + omega_2)/2``, coupling
-  ``lambda_m = (lambda_x - lambda_y)/4``, ``z = lambda_z/4``
-* subspace II: field ``omega_minus = (omega_1 - omega_2)/2``, coupling
-  ``lambda_p = (lambda_x + lambda_y)/4``, ``z = -lambda_z/4``
+-field + z]]``.  :class:`ModelParams` reads subspace I's: field
+``omega_plus = (omega_1 + omega_2)/2``, coupling ``lambda_m =
+(lambda_x - lambda_y)/4``, ``z = lambda_z/4``.  The subspace-II block
+is subspace I's block of :func:`map_params_I_to_II`, the paper's
+block-exchanging symmetry: field ``omega_minus``, coupling
+``lambda_p``, ``z = -lambda_z/4``.  Every reader of subspace II goes
+through that map.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -31,8 +30,8 @@ from .drive import Constant, DriveProfile, Sinusoid
 from .errors import ConfigError, NotStaticError
 
 __all__ = [
-    "Subspace",
     "ModelParams",
+    "map_params_I_to_II",
     "Spectrum",
     "StaticGroundState",
     "hamiltonian_uncoupled",
@@ -47,23 +46,6 @@ __all__ = [
 
 UNCOUPLED_LABELS = ("pp", "mm", "pm", "mp")
 COUPLED_LABELS = ("pp", "mm", "s", "a")
-
-
-class Subspace(Enum):
-    """The two decoupled 2x2 blocks of the Hamiltonian."""
-
-    ONE = "I"
-    TWO = "II"
-
-
-# subspace -> (field, coupling, diagonal sign).  Field and coupling are
-# pairs (pa, ca, pb, cb) meaning ca*pa + cb*pb of two primitive profiles;
-# the diagonal is sign*lambda_z/4.  The coefficients are powers of two,
-# so each value is exactly the rounded (pa +- pb)/2 or /4.
-_BLOCKS = {
-    Subspace.ONE: (("omega_1", 0.5, "omega_2", 0.5), ("lambda_x", 0.25, "lambda_y", -0.25), 1.0),
-    Subspace.TWO: (("omega_1", 0.5, "omega_2", -0.5), ("lambda_x", 0.25, "lambda_y", 0.25), -1.0),
-}
 
 
 def _combine(c1: float, p1: DriveProfile, c2: float, p2: DriveProfile) -> DriveProfile:
@@ -130,43 +112,41 @@ class ModelParams:
             omega_2=_combine(1.0, omega_plus, -1.0, omega_minus),
         )
 
-    # -- the two blocks, all read from _BLOCKS ----------------------------
+    # -- subspace I's block; the coefficients are powers of two, so each
+    # value is exactly the rounded (pa +- pb)/2 or /4 --
 
-    def _block(self, subspace: Subspace, f, t):
-        field, coupling, sign = _BLOCKS[subspace]
+    def _block(self, f, t):
+        return (
+            0.5 * f(self.omega_1, t) + 0.5 * f(self.omega_2, t),
+            0.25 * f(self.lambda_x, t) - 0.25 * f(self.lambda_y, t),
+            0.25 * f(self.lambda_z, t),
+        )
 
-        def pair(pa, ca, pb, cb):
-            return ca * f(getattr(self, pa), t) + cb * f(getattr(self, pb), t)
+    def block_values(self, t: float | np.ndarray) -> tuple:
+        """(field, coupling, z) of subspace I's block at t, a float or an array of times."""
+        return self._block(drive.evaluate, t)
 
-        return pair(*field), pair(*coupling), (0.25 * sign) * f(self.lambda_z, t)
-
-    def block_values(self, subspace: Subspace, t: float | np.ndarray) -> tuple:
-        """(field, coupling, z) of one block at t, a float or an array of times."""
-        return self._block(subspace, drive.evaluate, t)
-
-    def block_integrals(self, subspace: Subspace, t: float | np.ndarray) -> tuple:
+    def block_integrals(self, t: float | np.ndarray) -> tuple:
         """Exact integrals over [0, t] of :meth:`block_values`."""
-        return self._block(subspace, drive.integral, t)
+        return self._block(drive.integral, t)
 
-    def block_terms(self, subspace: Subspace) -> tuple[float, ...]:
-        """One block as the 21 floats the RK4 and Magnus kernels step with.
+    def block_terms(self) -> tuple[float, ...]:
+        """The subspace-I block as the 21 floats the RK4 and Magnus kernels step with.
 
         Field, coupling and ``4*z`` as two-term drives
         ``(a1, b1, p1, a2, b2, p2, off)``, each meaning
         ``a1*sin(b1*t + p1) + a2*sin(b2*t + p2) + off``; exact for every
         parameter set.
         """
-        field, coupling, sign = _BLOCKS[subspace]
 
         def pair(pa, ca, pb, cb):
-            a1, b1, p1, o1 = drive.single_term(getattr(self, pa))
-            a2, b2, p2, o2 = drive.single_term(getattr(self, pb))
+            a1, b1, p1, o1 = drive.single_term(pa)
+            a2, b2, p2, o2 = drive.single_term(pb)
             return (ca * a1, b1, p1, cb * a2, b2, p2, ca * o1 + cb * o2)
 
         a, b, p, o = drive.single_term(self.lambda_z)
-        # o + 0.0: a zero offset is +0.0 in block I and -0.0 in block II,
-        # signs that reach amplitudes which stay exactly zero
-        return pair(*field) + pair(*coupling) + (sign * a, b, p, 0.0, 0.0, 0.0, sign * (o + 0.0))
+        coupling = pair(self.lambda_x, 0.25, self.lambda_y, -0.25)
+        return pair(self.omega_1, 0.5, self.omega_2, 0.5) + coupling + (a, b, p, 0.0, 0.0, 0.0, o)
 
     def is_static(self) -> bool:
         return all(
@@ -181,6 +161,24 @@ class ModelParams:
         return out
 
 
+def map_params_I_to_II(params: ModelParams) -> ModelParams:
+    """Parameters whose subspace-I block is the original subspace-II block.
+
+    Swaps the roles of the two blocks by the replacement
+    ``lambda_m <-> lambda_p``, ``omega_plus <-> omega_minus``,
+    ``lambda_z -> -lambda_z``; on the primitive profiles this is
+    ``lambda_y -> -lambda_y``, ``lambda_z -> -lambda_z``,
+    ``omega_2 -> -omega_2``.  Exact involution.
+    """
+    return ModelParams(
+        lambda_x=params.lambda_x,
+        lambda_y=drive.negate(params.lambda_y),
+        lambda_z=drive.negate(params.lambda_z),
+        omega_1=params.omega_1,
+        omega_2=drive.negate(params.omega_2),
+    )
+
+
 def _two_by_two(field, coupling, z) -> np.ndarray:
     return np.array([[field + z, coupling], [coupling, -field + z]], dtype=complex)
 
@@ -188,8 +186,8 @@ def _two_by_two(field, coupling, z) -> np.ndarray:
 def hamiltonian_uncoupled(params: ModelParams, t: float) -> np.ndarray:
     """4x4 Hamiltonian in the uncoupled order; off-block entries exactly zero."""
     h = np.zeros((4, 4), dtype=complex)
-    h[:2, :2] = block(params, t, Subspace.ONE)
-    h[2:, 2:] = block(params, t, Subspace.TWO)
+    h[:2, :2] = block(params, t)
+    h[2:, 2:] = block(map_params_I_to_II(params), t)
     return h
 
 
@@ -210,21 +208,24 @@ def basis_change_matrix() -> np.ndarray:
 def hamiltonian_coupled(params: ModelParams, t: float) -> np.ndarray:
     """4x4 Hamiltonian in the coupled order (symmetric / antisymmetric pair)."""
     h = np.zeros((4, 4), dtype=complex)
-    h[:2, :2] = block(params, t, Subspace.ONE)
+    h[:2, :2] = block(params, t)
     # on {|s>, |a>} the subspace-II field and coupling trade places
-    field, coupling, z = params.block_values(Subspace.TWO, t)
+    field, coupling, z = map_params_I_to_II(params).block_values(t)
     h[2:, 2:] = _two_by_two(coupling, field, z)
     return h
 
 
-def block(params: ModelParams, t: float, subspace: Subspace) -> np.ndarray:
-    """2x2 Hermitian block of the uncoupled Hamiltonian for one subspace."""
-    return _two_by_two(*params.block_values(subspace, t))
+def block(params: ModelParams, t: float) -> np.ndarray:
+    """2x2 Hermitian subspace-I block of the uncoupled Hamiltonian.
+
+    The subspace-II block is ``block(map_params_I_to_II(params), t)``.
+    """
+    return _two_by_two(*params.block_values(t))
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Instantaneous eigen-decomposition summary of one 2x2 block.
+    """Instantaneous eigen-decomposition summary of subspace I's block.
 
     ``theta`` is the mixing angle of the instantaneous eigenvectors,
     ``gap`` the nonnegative half-splitting, and ``eps_plus/eps_minus``
@@ -233,7 +234,6 @@ class Spectrum:
     reported as 0 with ``degenerate`` set.
     """
 
-    subspace: Subspace
     theta: float
     gap: float
     eps_plus: float
@@ -241,17 +241,17 @@ class Spectrum:
     degenerate: bool
 
 
-def spectrum(params: ModelParams, t: float, subspace: Subspace) -> Spectrum:
-    """Mixing angle and eigenvalues of one block at time t.
+def spectrum(params: ModelParams, t: float) -> Spectrum:
+    """Mixing angle and eigenvalues of subspace I's block at time t.
 
     theta = atan2(coupling, field)/2, giving 2*theta in (-pi, pi].
+    The subspace-II spectrum is ``spectrum(map_params_I_to_II(params), t)``.
     """
-    field, coupling, diag = params.block_values(subspace, t)
+    field, coupling, diag = params.block_values(t)
     degenerate = field == 0.0 and coupling == 0.0
     theta = 0.0 if degenerate else 0.5 * math.atan2(coupling, field)
     gap = math.hypot(field, coupling)
     return Spectrum(
-        subspace=subspace,
         theta=theta,
         gap=gap,
         eps_plus=diag + gap,
@@ -282,10 +282,10 @@ def static_ground_state(params: ModelParams) -> StaticGroundState:
     """Classify the ground state, comparing eta against lambda_z/4 + zeta."""
     if not params.is_static():
         raise NotStaticError("ground-state classification requires static profiles")
-    s1 = spectrum(params, 0.0, Subspace.ONE)
-    s2 = spectrum(params, 0.0, Subspace.TWO)
+    s1 = spectrum(params, 0.0)
+    s2 = spectrum(map_params_I_to_II(params), 0.0)
     eta, zeta = s1.gap, s2.gap
-    lz4 = params.block_values(Subspace.ONE, 0.0)[2]
+    lz4 = params.block_values(0.0)[2]
     margin = eta - (lz4 + zeta)
     tol = 1e-12 * max(1.0, abs(eta))
     if abs(margin) <= tol:

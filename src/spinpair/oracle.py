@@ -24,7 +24,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import _ic2_field, _two_term
 from .errors import ConfigError, NormDriftError
-from .model import ModelParams, Subspace
+from .model import ModelParams, map_params_I_to_II
 
 __all__ = [
     "IntegratorConfig",
@@ -192,8 +192,8 @@ def integrate_full(
     exactly zero (no numerical leakage).  Norm drift is taken over all
     four amplitudes.
     """
-    one = params.block_terms(Subspace.ONE)
-    two = params.block_terms(Subspace.TWO)
+    one = params.block_terms()
+    two = map_params_I_to_II(params).block_terms()
     events, is_sample = _event_grid(t_end, sample_times, ())
 
     def step(y, a, b, n):
@@ -324,7 +324,7 @@ def magnus_full(
     NormDriftError
         If the norm drifts beyond ``cfg.norm_tolerance`` (NaN included).
     """
-    blocks = (params.block_terms(Subspace.ONE), params.block_terms(Subspace.TWO))
+    blocks = (params.block_terms(), map_params_I_to_II(params).block_terms())
     # np.max, not max(): a NaN bound must stick
     bound = float(np.max([_norm_bound(c) for c in blocks]))
     # written so that a NaN product is refused too

@@ -5,8 +5,10 @@ space into two 2x2 blocks, and carries two further discrete symmetries:
 a reflection exchanging the blocks and a global flip negating the
 fields.  Each is implemented as a parameter and/or state transform;
 all are exact involutions built from structural negation, so applying
-one twice returns an equal object.  Their role is cross-checking: the
-propagators and concurrence formulas must commute with them.
+one twice returns an equal object.  The program reads subspace II
+through :func:`map_params_I_to_II` (defined in :mod:`spinpair.model`);
+the other maps are cross-checks that the propagators and concurrence
+formulas must commute with.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from enum import Enum
 
 from . import drive
 from .entangle import Basis, FourState
-from .model import ModelParams
+from .model import ModelParams, map_params_I_to_II
 
 __all__ = [
     "Parity",
@@ -44,24 +46,6 @@ def parity(basis_state: str) -> Parity:
     if basis_state in ("pm", "mp"):
         return Parity.NEGATIVE
     raise ValueError(f"unknown basis state label {basis_state!r}")
-
-
-def map_params_I_to_II(params: ModelParams) -> ModelParams:
-    """Parameters whose subspace-I block is the original subspace-II block.
-
-    Swaps the roles of the two blocks by the replacement
-    ``lambda_m <-> lambda_p``, ``omega_plus <-> omega_minus``,
-    ``lambda_z -> -lambda_z``; on the primitive profiles this is
-    ``lambda_y -> -lambda_y``, ``lambda_z -> -lambda_z``,
-    ``omega_2 -> -omega_2``.  Exact involution.
-    """
-    return ModelParams(
-        lambda_x=params.lambda_x,
-        lambda_y=drive.negate(params.lambda_y),
-        lambda_z=drive.negate(params.lambda_z),
-        omega_1=params.omega_1,
-        omega_2=drive.negate(params.omega_2),
-    )
 
 
 def map_state_I_to_II(state: FourState) -> FourState:

@@ -1,4 +1,4 @@
-"""Shared fixtures, CSV helpers and a reference quadrature for the test suite."""
+"""Shared fixtures, CSV helpers, a reference quadrature and a reference Hamiltonian."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,30 @@ def read_csv(path):
     names = lines[0].strip().split(",")
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     return {name: data[:, i] for i, name in enumerate(names)}
+
+
+SX = np.array([[0, 1], [1, 0]], dtype=complex)
+SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+I2 = np.eye(2, dtype=complex)
+
+# tensor order {++, +-, -+, --} -> uncoupled order {++, --, +-, -+}
+PERM = [0, 3, 1, 2]
+# the terms of lambda_x, lambda_y, lambda_z, omega_1 and omega_2, each
+# built from spin operators S = sigma/2 and put in uncoupled order
+SPIN_TERMS = [
+    (c * np.kron(a, b))[np.ix_(PERM, PERM)]
+    for c, a, b in ((0.25, SX, SX), (0.25, SY, SY), (0.25, SZ, SZ), (0.5, SZ, I2), (0.5, I2, SZ))
+]
+
+
+def tensor_hamiltonian(lx, ly, lz, w1, w2):
+    """The 4x4 Hamiltonian in uncoupled order, from the spin-operator terms.
+
+    Independent of :mod:`spinpair.model`'s blocks and of the I<->II map:
+    the reference both are checked against.
+    """
+    return sum(v * term for v, term in zip((lx, ly, lz, w1, w2), SPIN_TERMS))
 
 
 def quadrature(f, t0, t1, tol=1e-10, max_depth=50):

@@ -22,10 +22,18 @@ from spinpair.cli import (
     trace_stats,
 )
 from spinpair.approx import perturb_x1, perturb_x2, rwa_evolve, rwa_orthogonal
-from spinpair.config import build_ic1, build_ic2, build_perturbation, build_rwa, parse_config
+from spinpair.config import (
+    build_ic1,
+    build_ic2,
+    build_perturbation,
+    build_rwa,
+    parse_config,
+    parse_profile,
+)
+from spinpair.drive import Constant
 from spinpair.entangle import FourState, concurrence_pure
 from spinpair.errors import AdmissibilityError, ConfigError, NormDriftError
-from spinpair.exact import ic1_evolve, ic2_evolve
+from spinpair.exact import IC2Setup, ic1_evolve, ic2_evolve
 from spinpair.oracle import IntegratorConfig, integrate_block_fn
 
 SINUSOID = {"kind": "sinusoid", "amplitude": 2.0, "frequency": 50.0, "phase": math.pi / 50}
@@ -235,9 +243,16 @@ def per_sample_reference(cfg):
             angles = (setup.theta10, setup.theta20)
             evolve = lambda t, phi: ic1_evolve(setup, params, t, phi, convention)
         elif cfg.mode == "ic2":
-            one, two = build_ic2(section)
+            one, _two = build_ic2(section)
+            # phi3/phi4 are phi1/phi2 of the mirrored subspace-II block,
+            # written out here rather than taken from build_ic2's mirror
+            two = IC2Setup(
+                section["chi"],
+                section["theta20"],
+                parse_profile(section["lambda_p"], "lambda_p"),
+                Constant(-section["lambda_z"]),
+            )
             angles = (one.theta10, two.theta10)
-            # phi3/phi4 are phi1/phi2 of the mirrored subspace-II block
             blocks = {"phi1": (one, "phi1"), "phi2": (one, "phi2"),
                       "phi3": (two, "phi1"), "phi4": (two, "phi2")}
             evolve = lambda t, phi: ic2_evolve(blocks[phi][0], t, blocks[phi][1])
@@ -491,6 +506,20 @@ def test_main_sweep_writes_summary(tmp_path, capsys):
     assert (outdir / "swept_summary.csv").is_file()
     assert (outdir / "swept_2.csv").is_file()
     assert (outdir / "swept_6.csv").is_file()
+
+
+def test_main_sweep_refuses_values_that_share_a_point_file(tmp_path, capsys):
+    # distinct values that print alike under %g once wrote s_0.5.csv three
+    # times, leaving one point file for a three-row summary
+    path = write_yaml(
+        tmp_path, "s", ic1_data(sweep={"parameter": "ic1.k", "values": [0.5, 0.5000001, 0.50000001]})
+    )
+    outdir = tmp_path / "out"
+    assert main(["sweep", str(path), "--output", str(outdir)]) == 2
+    assert "sweep.values 0.5 and 0.5000001 both write the point file s_0.5.csv" in (
+        capsys.readouterr().err
+    )
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 # --- property: main() ends in 0 or 2 on any small config ---------------------

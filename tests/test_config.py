@@ -18,7 +18,7 @@ from spinpair.config import (
 from spinpair.drive import Constant, Scaled, Sinusoid
 from spinpair.errors import ConfigError
 from spinpair.exact import IC2Setup, PhaseConvention
-from spinpair.model import Subspace
+from spinpair.model import map_params_I_to_II
 
 SINUSOID_NODE = {"kind": "sinusoid", "amplitude": 2.0, "frequency": 50.0, "phase": 0.1}
 
@@ -217,9 +217,9 @@ def test_build_ic1_defaults_and_proportionality():
     assert setup.theta20 == 0.0
     assert convention is PhaseConvention.SIGNED
     for t in (0.0, 0.3):
-        field, coupling, _z = params.block_values(Subspace.ONE, t)
+        field, coupling, _z = params.block_values(t)
         assert coupling == pytest.approx(0.5 * field, abs=1e-15)
-        assert params.block_values(Subspace.TWO, t)[0] == 0.0
+        assert map_params_I_to_II(params).block_values(t)[0] == 0.0
 
 
 def test_build_ic1_nonnegative_convention():
@@ -339,7 +339,7 @@ def test_build_numeric_primitive():
 def test_build_numeric_derived():
     params, step = build_numeric({"omega_plus": dict(SINUSOID_NODE)})
     assert step is None
-    field, coupling, _z = params.block_values(Subspace.ONE, 0.1)
+    field, coupling, _z = params.block_values(0.1)
     assert field == pytest.approx(2.0 * math.sin(5.1), abs=1e-14)
     assert coupling == 0.0
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import tensor_hamiltonian
 from spinpair import drive
 from spinpair.cli import compute_trace
 from spinpair.config import build_ic1, build_ic2, parse_config
@@ -22,8 +23,14 @@ from spinpair.exact import (
     ic2_kernel_coeffs,
     ic2_theta,
 )
-from spinpair.model import ModelParams, Subspace
-from spinpair.oracle import IntegratorConfig, integrate_block_fn, integrate_block_ic2, integrate_full
+from spinpair.model import ModelParams
+from spinpair.oracle import (
+    IntegratorConfig,
+    integrate_block_fn,
+    integrate_block_ic2,
+    integrate_full,
+    magnus_full,
+)
 
 WP = Sinusoid(2.0, 50.0, math.pi / 50)
 
@@ -70,20 +77,20 @@ def test_ic1_initial_condition():
     assert y.a2 == pytest.approx(math.cos(setup.theta10), abs=1e-15)
 
 
-@pytest.mark.parametrize("initial,subspace", [
-    ("phi1", Subspace.ONE),
-    ("phi2", Subspace.ONE),
-    ("phi3", Subspace.TWO),
-    ("phi4", Subspace.TWO),
+@pytest.mark.parametrize("initial,one", [
+    pytest.param("phi1", True, id="phi1-Subspace.ONE"),
+    pytest.param("phi2", True, id="phi2-Subspace.ONE"),
+    pytest.param("phi3", False, id="phi3-Subspace.TWO"),
+    pytest.param("phi4", False, id="phi4-Subspace.TWO"),
 ])
-def test_ic1_matches_rk4(initial, subspace):
+def test_ic1_matches_rk4(initial, one):
     setup = IC1Setup.from_ratios(0.5, 0.3)
     params = proportional_params(0.5, 0.3)
-    theta0 = setup.theta10 if subspace is Subspace.ONE else setup.theta20
+    theta0 = setup.theta10 if one else setup.theta20
     c0, s0 = math.cos(theta0), math.sin(theta0)
     start = (c0, s0) if initial in ("phi1", "phi3") else (-s0, c0)
-    state = start + (0.0, 0.0) if subspace is Subspace.ONE else (0.0, 0.0) + start
-    cols = slice(0, 2) if subspace is Subspace.ONE else slice(2, 4)
+    state = start + (0.0, 0.0) if one else (0.0, 0.0) + start
+    cols = slice(0, 2) if one else slice(2, 4)
     times = [0.25, 0.5, 1.0]
     cfg = IntegratorConfig(step=1e-4)
     trace = integrate_full(params, state, 1.0, cfg, sample_times=times)
@@ -91,6 +98,29 @@ def test_ic1_matches_rk4(initial, subspace):
         amps = ic1_evolve(setup, params, t, initial)
         assert abs(amps.a1 - row[0]) < 1e-7
         assert abs(amps.a2 - row[1]) < 1e-7
+
+
+def test_ic1_subspace_two_matches_rk4_of_the_spin_hamiltonian():
+    # an oracle apart from the I<->II map: RK4 on the lower-right block
+    # of the spin-operator Hamiltonian, against ic1 phi3/phi4 and against
+    # magnus_full's subspace-II columns
+    setup = IC1Setup.from_ratios(0.5, 0.3)
+    params = proportional_params(0.5, 0.3)
+    names = ("lambda_x", "lambda_y", "lambda_z", "omega_1", "omega_2")
+
+    def hfun(t):
+        return tensor_hamiltonian(*(drive.evaluate(getattr(params, n), t) for n in names))[2:, 2:]
+
+    c0, s0 = math.cos(setup.theta20), math.sin(setup.theta20)
+    times = np.linspace(0.0, 1.0, 11)
+    # RK4's error at this step is about 2e-9, against the 1e-8 bound
+    cfg = IntegratorConfig(step=2e-3)
+    for initial, start in (("phi3", (c0, s0)), ("phi4", (-s0, c0))):
+        rk4 = integrate_block_fn(hfun, start, 1.0, cfg, sample_times=times).amplitudes
+        amps = ic1_evolve(setup, params, times, initial)
+        assert np.max(np.abs(rk4 - np.column_stack((amps.a1, amps.a2)))) < 1e-8
+        magnus = magnus_full(params, (0.0, 0.0) + start, 1.0, cfg, sample_times=times)
+        assert np.max(np.abs(rk4 - magnus.amplitudes[:, 2:])) < 1e-8
 
 
 def test_ic1_constant_drive_phase_known_value():
@@ -441,7 +471,7 @@ def test_ic2_setup_validation():
     with pytest.raises(ValueError):
         IC2Setup(kappa=0.1, theta10=2.0, lambda_m=Sinusoid(1.0, 10.0))
     # rate**-2 would overflow in the closed form
-    with pytest.raises(ValueError, match="kappa"):
+    with pytest.raises(ValueError, match=r"^\|kappa\| must be at least 1e-150$"):
         IC2Setup(kappa=-1e-200, theta10=0.1, lambda_m=Sinusoid(1.0, 10.0))
     # non-finite rates gave valid=True and NaN amplitudes; the chi, theta20
     # cases are config keys now (test_config)

@@ -3,41 +3,27 @@ import math
 import numpy as np
 import pytest
 
+from conftest import tensor_hamiltonian
 from spinpair.drive import Constant, Scaled, Sinusoid
 from spinpair.errors import ConfigError, NotStaticError
 from spinpair.model import (
     COUPLED_LABELS,
     UNCOUPLED_LABELS,
     ModelParams,
-    Subspace,
     basis_change_matrix,
     block,
     hamiltonian_coupled,
     hamiltonian_uncoupled,
+    map_params_I_to_II,
     spectrum,
     static_ground_state,
 )
-from spinpair.symmetry import map_params_I_to_II
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-I2 = np.eye(2, dtype=complex)
-
-# tensor order {++, +-, -+, --} -> uncoupled order {++, --, +-, -+}
-PERM = [0, 3, 1, 2]
-
-
-def tensor_hamiltonian(lx, ly, lz, w1, w2):
-    """Independent construction from spin operators S = sigma/2."""
-    h = (
-        0.25 * lx * np.kron(SX, SX)
-        + 0.25 * ly * np.kron(SY, SY)
-        + 0.25 * lz * np.kron(SZ, SZ)
-        + 0.5 * w1 * np.kron(SZ, I2)
-        + 0.5 * w2 * np.kron(I2, SZ)
-    )
-    return h[np.ix_(PERM, PERM)]
+# the parameters whose subspace-I block is each subspace's block
+SUBSPACES = [
+    pytest.param(lambda p: p, id="Subspace.ONE"),
+    pytest.param(map_params_I_to_II, id="Subspace.TWO"),
+]
 
 
 PARAM_SETS = [
@@ -96,30 +82,31 @@ def test_coupled_hamiltonian_is_conjugated_uncoupled(params, t):
 @pytest.mark.parametrize("t", [0.0, 0.8])
 def test_block_extracts_uncoupled_corners(params, t):
     h = hamiltonian_uncoupled(params, t)
-    assert np.array_equal(block(params, t, Subspace.ONE), h[:2, :2])
-    assert np.array_equal(block(params, t, Subspace.TWO), h[2:, 2:])
+    # the same floats, compared bitwise
+    assert block(params, t).tobytes() == h[:2, :2].tobytes()
+    assert block(map_params_I_to_II(params), t).tobytes() == h[2:, 2:].tobytes()
 
 
 @pytest.mark.parametrize("params", PARAM_SETS)
-@pytest.mark.parametrize("subspace", [Subspace.ONE, Subspace.TWO])
+@pytest.mark.parametrize("subspace", SUBSPACES)
 @pytest.mark.parametrize("t", [0.0, 0.61, 3.0])
 def test_spectrum_matches_numpy(params, subspace, t):
-    spec = spectrum(params, t, subspace)
-    evals = np.linalg.eigvalsh(block(params, t, subspace))
+    spec = spectrum(subspace(params), t)
+    evals = np.linalg.eigvalsh(block(subspace(params), t))
     assert spec.eps_minus == pytest.approx(evals[0], abs=1e-12)
     assert spec.eps_plus == pytest.approx(evals[1], abs=1e-12)
     assert spec.gap == pytest.approx(0.5 * (evals[1] - evals[0]), abs=1e-12)
 
 
 @pytest.mark.parametrize("params", PARAM_SETS)
-@pytest.mark.parametrize("subspace", [Subspace.ONE, Subspace.TWO])
+@pytest.mark.parametrize("subspace", SUBSPACES)
 def test_spectrum_angle_gives_eigenvector(params, subspace):
     t = 0.45
-    spec = spectrum(params, t, subspace)
+    spec = spectrum(subspace(params), t)
     if spec.degenerate:
         return
     v = np.array([math.cos(spec.theta), math.sin(spec.theta)])
-    h = block(params, t, subspace)
+    h = block(subspace(params), t)
     assert np.allclose(h @ v, spec.eps_plus * v, atol=1e-12)
 
 
@@ -131,7 +118,7 @@ def test_spectrum_degenerate_flag():
         omega_1=Constant(0.0),
         omega_2=Constant(0.0),
     )
-    spec = spectrum(params, 0.0, Subspace.ONE)
+    spec = spectrum(params, 0.0)
     assert spec.degenerate
     assert spec.theta == 0.0
     assert spec.gap == 0.0
@@ -145,11 +132,11 @@ def test_from_derived_round_trip():
         lambda_z=Constant(0.4),
     )
     for t in (0.0, 0.3, 1.9):
-        field, coupling, z = params.block_values(Subspace.ONE, t)
+        field, coupling, z = params.block_values(t)
         assert field == pytest.approx(2.0 * math.sin(50.0 * t + math.pi / 50), abs=1e-14)
         assert coupling == pytest.approx(0.5 * field, abs=1e-14)
         assert z == 0.4 / 4
-        assert params.block_values(Subspace.TWO, t) == (0.0, 0.0, -0.4 / 4)
+        assert map_params_I_to_II(params).block_values(t) == (0.0, 0.0, -0.4 / 4)
 
 
 def test_from_derived_rejects_incommensurate_mix():
@@ -168,14 +155,15 @@ def test_from_derived_rejects_incommensurate_mix():
         ModelParams.from_derived(omega_plus=Constant(1e308), omega_minus=Constant(1e308))
 
 
-# each derived drive's place in the block table: (subspace, entry of
-# block_values); lambda_z is the diagonal of both blocks
+# each derived drive's place in the blocks: (the parameters whose
+# subspace-I block it is in, entry of block_values); lambda_z is the
+# diagonal of both blocks
 BLOCK_ENTRIES = {
-    "omega_plus": [(Subspace.ONE, 0)],
-    "lambda_m": [(Subspace.ONE, 1)],
-    "omega_minus": [(Subspace.TWO, 0)],
-    "lambda_p": [(Subspace.TWO, 1)],
-    "lambda_z": [(Subspace.ONE, 2), (Subspace.TWO, 2)],
+    "omega_plus": [(lambda p: p, 0)],
+    "lambda_m": [(lambda p: p, 1)],
+    "omega_minus": [(map_params_I_to_II, 0)],
+    "lambda_p": [(map_params_I_to_II, 1)],
+    "lambda_z": [(lambda p: p, 2), (map_params_I_to_II, 2)],
 }
 
 
@@ -187,39 +175,15 @@ def test_derived_two_term_reconstructs_accessor(params, name):
     # the kernel vector, evaluated, equals the block values; its third
     # two-term drive is 4*z
     for subspace, entry in BLOCK_ENTRIES[name]:
-        terms = params.block_terms(subspace)
+        block_params = subspace(params)
+        terms = block_params.block_terms()
         a1, b1, p1, a2, b2, p2, off = terms[7 * entry : 7 * entry + 7]
         scale = 0.25 if entry == 2 else 1.0
         for t in (0.0, 0.7, 2.3):
             value = a1 * math.sin(b1 * t + p1) + a2 * math.sin(b2 * t + p2) + off
-            assert params.block_values(subspace, t)[entry] == pytest.approx(
+            assert block_params.block_values(t)[entry] == pytest.approx(
                 scale * value, abs=1e-13
             )
-
-
-@pytest.mark.parametrize(
-    "params",
-    PARAM_SETS
-    + [
-        ModelParams(
-            lambda_x=Scaled(0.3, Sinusoid(1.1, 2.0, 0.2)),
-            lambda_y=Sinusoid(-0.6, 3.0),
-            lambda_z=Sinusoid(0.7, 4.0, -0.1),
-            omega_1=Constant(-0.9),
-            omega_2=Scaled(-2.0, Constant(0.25)),
-        )
-    ],
-)
-def test_subspace_two_is_subspace_one_of_the_mapped_params(params):
-    # the block-exchanging symmetry: exact, so compared bitwise
-    mapped = map_params_I_to_II(params)
-    t = np.linspace(0.0, 3.0, 13)
-    for read in ("block_values", "block_integrals"):
-        two = getattr(params, read)(Subspace.TWO, t)
-        one = getattr(mapped, read)(Subspace.ONE, t)
-        for a, b in zip(two, one):
-            assert np.array_equal(a, b)
-    assert params.block_terms(Subspace.TWO) == mapped.block_terms(Subspace.ONE)
 
 
 def test_all_frequencies_and_is_static():

@@ -6,7 +6,9 @@ import pytest
 from spinpair.drive import Constant, Sinusoid
 from spinpair.entangle import Basis, FourState, basis_convert, concurrence_ic2, concurrence_pure
 from spinpair.exact import IC2Setup
-from spinpair.model import ModelParams, Subspace, block
+from conftest import tensor_hamiltonian
+from spinpair import drive
+from spinpair.model import ModelParams, block, hamiltonian_uncoupled
 from spinpair.oracle import IntegratorConfig, integrate_full
 from spinpair.symmetry import (
     Parity,
@@ -69,8 +71,14 @@ def test_state_maps_require_uncoupled_order(rng):
 @pytest.mark.parametrize("t", [0.0, 0.37, 1.9])
 def test_swapped_params_exchange_blocks(t):
     mapped = map_params_I_to_II(PARAMS)
-    assert np.array_equal(block(mapped, t, Subspace.ONE), block(PARAMS, t, Subspace.TWO))
-    assert np.array_equal(block(mapped, t, Subspace.TWO), block(PARAMS, t, Subspace.ONE))
+    # against the spin-operator Hamiltonian, which knows nothing of the map
+    values = [drive.evaluate(getattr(PARAMS, name), t) for name in
+              ("lambda_x", "lambda_y", "lambda_z", "omega_1", "omega_2")]
+    assert np.allclose(block(mapped, t), tensor_hamiltonian(*values)[2:, 2:], atol=1e-14)
+    # negation is exact, so the exchanged blocks are compared bitwise
+    h, h_mapped = hamiltonian_uncoupled(PARAMS, t), hamiltonian_uncoupled(mapped, t)
+    assert h_mapped[:2, :2].tobytes() == h[2:, 2:].tobytes()
+    assert h_mapped[2:, 2:].tobytes() == h[:2, :2].tobytes()
 
 
 def test_subspace_swap_commutes_with_evolution(rng):

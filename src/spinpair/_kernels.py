@@ -1,9 +1,10 @@
 """Propagation kernels: fixed-step RK4 (the oracle) and Magnus-4.
 
-The RK4 kernels are plain Python loops over complex scalars: they are
-the check on the closed forms and on the Magnus kernel, so they are
-kept small and obvious rather than fast.  The Magnus kernel is numeric
-mode's production path and works on whole arrays of steps.
+:func:`rk4_clamped` is the one RK4 loop, a plain Python loop over
+complex scalars that steps any ``deriv(t, y1, y2)``: it is the check on
+the closed forms and on the Magnus kernel, so it is kept small and
+obvious rather than fast.  The Magnus kernel is numeric mode's
+production path and works on whole arrays of steps.
 
 Drive coefficients are "two-term" tuples
 ``(a1, b1, p1, a2, b2, p2, off)`` encoding
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import BranchExitError
 
-__all__ = ["rk4_block_profiles", "rk4_clamped", "magnus_block_profiles"]
+__all__ = ["rk4_clamped", "magnus_block_profiles"]
 
 # offset of the two Gauss-Legendre points from a step's midpoint, in steps
 _GAUSS = math.sqrt(3.0) / 6.0
@@ -36,50 +37,6 @@ def _two_term(c, base, t):
     if a2 != 0.0:
         v += a2 * math.sin(c[base + 4] * t + c[base + 5])
     return v
-
-
-def rk4_block_profiles(c, y1, y2, t0, t1, n):
-    """Advance a 2-amplitude block state from t0 to t1 in n RK4 steps.
-
-    c: 21 floats, three two-term drives (field, coupling, z-diagonal);
-    the block is [[field + z/4, coupling], [coupling, -field + z/4]].
-    """
-    h = (t1 - t0) / n
-    for i in range(n):
-        t = t0 + i * h
-
-        w = _two_term(c, 0, t)
-        l = _two_term(c, 7, t)
-        z4 = 0.25 * _two_term(c, 14, t)
-        k1a = -1j * ((w + z4) * y1 + l * y2)
-        k1b = -1j * (l * y1 + (z4 - w) * y2)
-
-        tm = t + 0.5 * h
-        w = _two_term(c, 0, tm)
-        l = _two_term(c, 7, tm)
-        z4 = 0.25 * _two_term(c, 14, tm)
-        u1 = y1 + 0.5 * h * k1a
-        u2 = y2 + 0.5 * h * k1b
-        k2a = -1j * ((w + z4) * u1 + l * u2)
-        k2b = -1j * (l * u1 + (z4 - w) * u2)
-
-        u1 = y1 + 0.5 * h * k2a
-        u2 = y2 + 0.5 * h * k2b
-        k3a = -1j * ((w + z4) * u1 + l * u2)
-        k3b = -1j * (l * u1 + (z4 - w) * u2)
-
-        te = t + h
-        w = _two_term(c, 0, te)
-        l = _two_term(c, 7, te)
-        z4 = 0.25 * _two_term(c, 14, te)
-        u1 = y1 + h * k3a
-        u2 = y2 + h * k3b
-        k4a = -1j * ((w + z4) * u1 + l * u2)
-        k4b = -1j * (l * u1 + (z4 - w) * u2)
-
-        y1 = y1 + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        y2 = y2 + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-    return y1, y2
 
 
 def rk4_clamped(deriv, y1, y2, t0, t1, n):
@@ -191,10 +148,10 @@ def _prefix_products(al, be):
 def magnus_block_profiles(c, y1, y2, events, counts):
     """States of a 2-amplitude block at every event time, by Magnus-4 steps.
 
-    c: the 21 floats of :func:`rk4_block_profiles`.  ``events`` is a
-    float array and ``counts`` an integer array: the segment from
-    events[k] to events[k + 1] is split into counts[k] equal steps, as
-    in the RK4 march.  Each step is the closed-form exponential of the
+    c: the 21 floats of :meth:`spinpair.model.ModelParams.block_terms`.
+    ``events`` is a float array and ``counts`` an integer array: the
+    segment from events[k] to events[k + 1] is split into counts[k]
+    equal steps, as in the RK4 march.  Each step is the closed-form exponential of the
     fourth-order Magnus generator from two Gauss points (Blanes, Casas,
     Oteo & Ros, Phys. Rep. 470, 151 (2009)),
     -i*(phi*I + ax*sigma_x + ay*sigma_y + az*sigma_z), where ay is the

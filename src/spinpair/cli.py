@@ -104,7 +104,16 @@ class EvolutionTrace:
             (self.times, parts.reshape(-1, 8), self.norms, self.concurrences)
         )
         lines.extend(fmt % tuple(row) for row in table.tolist())
+        _write_text(path, lines)
+
+
+def _write_text(path: Path, lines: list[str]) -> None:
+    """Write the lines to ``path``, making its directory; an OSError is a ConfigError."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _flatten_echo(node: Any, prefix: str = "") -> list[tuple[str, str]]:
@@ -276,45 +285,44 @@ def trace_stats(trace: EvolutionTrace) -> dict[str, float]:
 def run_single(cfg: RunConfig, outdir: Path) -> Path:
     """Execute one run and write ``<outdir>/<name>.csv``."""
     trace = compute_trace(cfg)
-    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{cfg.name}.csv"
     trace.to_csv(path)
     return path
 
 
-def _sweep_point(
-    base: RunConfig, value: float, outdir: Path
-) -> tuple[float, dict[str, float], Path]:
+def _sweep_point(base: RunConfig, value: float) -> RunConfig:
     data = apply_sweep_value(base.data, base.sweep.parameter, value)
     data["name"] = sweep_point_name(base.name, value)
-    cfg = parse_config(data, data["name"])
-    trace = compute_trace(cfg)
-    path = outdir / f"{cfg.name}.csv"
-    trace.to_csv(path)
-    return value, trace_stats(trace), path
+    return parse_config(data, data["name"])
 
 
 def run_sweep(cfg: RunConfig, outdir: Path) -> list[Path]:
     """Execute each sweep point in turn and write the summary.
 
     Point traces land next to the summary as ``<name>_<value>.csv``;
-    the summary rows are sorted by swept value.
+    the summary rows are sorted by swept value.  Every point is parsed,
+    then computed, before the first file is written, so a refused point
+    leaves no partial sweep behind.
     """
     if cfg.sweep is None:
         raise ConfigError("config has no sweep block; use 'simulate run'")
-    outdir.mkdir(parents=True, exist_ok=True)
-    results = sorted(
-        (_sweep_point(cfg, value, outdir) for value in cfg.sweep.values),
+    points = [(value, _sweep_point(cfg, value)) for value in cfg.sweep.values]
+    traces = sorted(
+        ((value, point.name, compute_trace(point)) for value, point in points),
         key=lambda item: item[0],
     )
     lines = [f"# {key}: {val}" for key, val in _flatten_echo(cfg.data)]
     lines.append(",".join(SUMMARY_COLUMNS))
-    for value, stats, _path in results:
+    paths = []
+    for value, name, trace in traces:
+        paths.append(outdir / f"{name}.csv")
+        trace.to_csv(paths[-1])
+        stats = trace_stats(trace)
         row = (value,) + tuple(stats[k] for k in SUMMARY_COLUMNS[1:])
         lines.append(",".join("%.12e" % v for v in row))
     summary = outdir / f"{cfg.name}_summary.csv"
-    summary.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return [path for _v, _s, path in results] + [summary]
+    _write_text(summary, lines)
+    return paths + [summary]
 
 
 def preset_ids() -> list[str]:

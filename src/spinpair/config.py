@@ -7,7 +7,7 @@ A run config is a mapping with the keys
   ``bell_s``, ``bell_a``, ``phi1``..``phi4``) or a list of four
   amplitudes, each a number or an ``[re, im]`` pair (uncoupled order,
   normalized)
-* ``time``: ``{t_end, samples}`` with ``samples >= 2``
+* ``time``: ``{t_end, samples}`` with ``2 <= samples <= 10**7``
 * a section named after the mode (see the ``build_*`` functions)
 * optional ``sweep``: ``{parameter: dotted.path, values: [..]}``
 * optional ``name``: output stem (defaults to the config file stem)
@@ -73,6 +73,8 @@ _NAMED_AMPLITUDES = {
 NAMED_STATES = tuple(_NAMED_AMPLITUDES)
 
 _STATE_NORM_TOL = 1e-9
+# samples one run may take: the oracle's step budget, and a CSV of about 2 GB
+_MAX_SAMPLES = 10**7
 
 
 @dataclass(frozen=True)
@@ -240,8 +242,8 @@ def parse_config(data: Any, name: str) -> RunConfig:
     samples_raw = time_node.get("samples")
     if isinstance(samples_raw, bool) or not isinstance(samples_raw, int):
         raise ConfigError("time.samples must be an integer")
-    if samples_raw < 2:
-        raise ConfigError("time.samples must be at least 2")
+    if not 2 <= samples_raw <= _MAX_SAMPLES:
+        raise ConfigError(f"time.samples must lie in [2, {_MAX_SAMPLES}]")
     if mode not in mapping:
         raise ConfigError(f"missing section {mode!r} for mode {mode!r}")
     cfg_name = mapping.get("name", name)
@@ -250,10 +252,11 @@ def parse_config(data: Any, name: str) -> RunConfig:
     sweep = _parse_sweep(mapping["sweep"]) if "sweep" in mapping else None
     setup = _BUILDERS[mode](mapping[mode])
     if sweep is not None:
-        # the path must resolve against this very config
-        apply_sweep_value(mapping, sweep.parameter, sweep.values[0])
+        # the path must resolve against this very config and take every value
+        node, leaf = _sweep_leaf(mapping, sweep.parameter)
         points: dict[str, float] = {}
         for value in sweep.values:
+            _sweep_number(node[leaf], value, sweep.parameter)
             point = sweep_point_name(cfg_name, value)
             first = points.setdefault(point, value)
             if first != value:
@@ -291,14 +294,9 @@ def sweep_point_name(name: str, value: float) -> str:
     return f"{name}_{value:g}"
 
 
-def apply_sweep_value(data: dict, parameter: str, value: float) -> dict:
-    """Copy of the config with one dotted-path scalar replaced.
-
-    The sweep block itself is dropped from the copy, turning a sweep
-    point into a plain run config.
-    """
-    out = copy.deepcopy(data)
-    node: Any = out
+def _sweep_leaf(data: dict, parameter: str) -> tuple[dict, str]:
+    """The mapping and key a dotted sweep path names; the value there is a number."""
+    node: Any = data
     parts = parameter.split(".")
     for part in parts[:-1]:
         if not isinstance(node, dict) or part not in node:
@@ -312,7 +310,31 @@ def apply_sweep_value(data: dict, parameter: str, value: float) -> dict:
         raise ConfigError(
             f"sweep parameter {parameter!r} must point at a number, found {old!r}"
         )
-    node[leaf] = float(value)
+    return node, leaf
+
+
+def _sweep_number(old: int | float, value: float, parameter: str) -> int | float:
+    # an integer leaf (time.samples, or any number written without a
+    # point) stays an integer
+    if not isinstance(old, int):
+        return float(value)
+    if not float(value).is_integer():
+        raise ConfigError(
+            f"sweep parameter {parameter!r} is an integer; value {value!r} is not"
+        )
+    return int(value)
+
+
+def apply_sweep_value(data: dict, parameter: str, value: float) -> dict:
+    """Copy of the config with one dotted-path scalar replaced.
+
+    The sweep block itself is dropped from the copy, turning a sweep
+    point into a plain run config.  An integer leaf takes the value as
+    an integer, and refuses a value that is not integral.
+    """
+    out = copy.deepcopy(data)
+    node, leaf = _sweep_leaf(out, parameter)
+    node[leaf] = _sweep_number(node[leaf], value, parameter)
     out.pop("sweep", None)
     return out
 

@@ -1,11 +1,13 @@
 """Numerical propagation: fixed-step RK4 (the oracle) and Magnus-4.
 
 The RK4 integrators are the independent check against which the
-analytic propagators, and :func:`magnus_full`, are validated.
+analytic propagators, and :func:`magnus_full`, are validated.  All
+three march with one loop, :func:`spinpair._kernels.rk4_clamped`,
+over one ``deriv(t, y1, y2)`` per 2-amplitude block.
 :func:`magnus_full` is numeric mode's production path.  Neither
-renormalizes the state: norm drift is the integration-quality
-diagnostic, and a drift beyond the configured tolerance raises
-:class:`NormDriftError`.
+renormalizes the state: norm drift, the largest change of the squared
+norm over the samples, is the integration-quality diagnostic, and a
+drift beyond the configured tolerance raises :class:`NormDriftError`.
 
 Integration marches through the merged, sorted set of sample times and
 drive breakpoints, so every requested output time is hit exactly (no
@@ -105,14 +107,6 @@ def _event_grid(
     return events, is_sample
 
 
-def _norm2(y) -> float:
-    # sum of |v|**2; abs() and ** raise OverflowError past ~1e154
-    try:
-        return sum(abs(v) ** 2 for v in y)
-    except OverflowError:
-        return math.inf
-
-
 def _step_counts(events: np.ndarray, step: float) -> np.ndarray:
     """Steps per event segment: each no longer than ``step``, at least one.
 
@@ -141,40 +135,63 @@ def _check_drift(drift: float, cfg: IntegratorConfig) -> None:
         )
 
 
-def _march(step_fn, y0, events, is_sample, cfg: IntegratorConfig):
-    """Generic march over event segments.
+def _drift(samples: np.ndarray, initial: Sequence[complex]) -> float:
+    """Largest |squared norm - initial squared norm| over the sampled states.
 
-    step_fn(y, a, b, n) advances state tuple y from a to b in n steps.
-    Returns (samples array, norm drift).
+    A NaN sticks (``np.max`` keeps it) and a square past the float range
+    is inf, so a blown-up run always fails :func:`_check_drift`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm0 = np.sum(np.abs(np.asarray(initial, dtype=complex)) ** 2)
+        return float(np.max(np.abs(np.sum(np.abs(samples) ** 2, axis=1) - norm0)))
+
+
+def _march(
+    derivs: Sequence[Callable],
+    initial: Sequence[complex],
+    t_end: float,
+    cfg: IntegratorConfig,
+    sample_times: Sequence[float] | None,
+    breakpoints: Iterable[float] = (),
+) -> Trace:
+    """RK4 march of one 2-amplitude block per ``deriv(t, y1, y2)`` in ``derivs``.
+
+    ``initial`` holds two amplitudes per block.  Each event segment
+    advances every block by :func:`spinpair._kernels.rk4_clamped`.
 
     Raises
     ------
     ConfigError
         If the march needs more than ``_MAX_STEPS`` steps.
+    NormDriftError
+        If the norm drifts beyond ``cfg.norm_tolerance`` (NaN included).
     """
+    events, is_sample = _event_grid(t_end, sample_times, breakpoints)
     counts = _step_counts(events, cfg.step)
-    dim = len(y0)
-    n_samples = int(np.count_nonzero(is_sample))
-    out = np.empty((n_samples, dim), dtype=complex)
-    y = tuple(complex(v) for v in y0)
-    norm0 = _norm2(y)
-    drift = 0.0
-
-    row = 0
-    if is_sample[0]:  # events always start at exactly 0.0
-        out[row] = y
-        row += 1
-
-    for k in range(1, len(events)):
-        y = step_fn(y, float(events[k - 1]), float(events[k]), int(counts[k - 1]))
-        if is_sample[k]:
-            out[row] = y
-            row += 1
-            d = abs(_norm2(y) - norm0)
-            # max() drops a NaN second argument; a NaN drift must stick
-            drift = d if math.isnan(d) else max(drift, d)
+    y = [complex(v) for v in initial]
+    states = np.empty((events.size, len(y)), dtype=complex)
+    states[0] = y
+    for k in range(1, events.size):
+        a, b, n = float(events[k - 1]), float(events[k]), int(counts[k - 1])
+        for j, deriv in enumerate(derivs):
+            y[2 * j], y[2 * j + 1] = _kernels.rk4_clamped(deriv, y[2 * j], y[2 * j + 1], a, b, n)
+        states[k] = y
+    out = states[is_sample]
+    drift = _drift(out, states[0])
     _check_drift(drift, cfg)
-    return out, drift
+    return Trace(events[is_sample], out, drift)
+
+
+def _block_deriv(c: Sequence[float]) -> Callable:
+    """Amplitude derivatives of a block from its 21 ``block_terms`` floats."""
+
+    def deriv(t, y1, y2):
+        w = _two_term(c, 0, t)
+        l = _two_term(c, 7, t)
+        z4 = 0.25 * _two_term(c, 14, t)
+        return -1j * ((w + z4) * y1 + l * y2), -1j * (l * y1 + (z4 - w) * y2)
+
+    return deriv
 
 
 def integrate_full(
@@ -192,16 +209,8 @@ def integrate_full(
     exactly zero (no numerical leakage).  Norm drift is taken over all
     four amplitudes.
     """
-    one = params.block_terms()
-    two = map_params_I_to_II(params).block_terms()
-    events, is_sample = _event_grid(t_end, sample_times, ())
-
-    def step(y, a, b, n):
-        upper = _kernels.rk4_block_profiles(one, y[0], y[1], a, b, n)
-        return upper + _kernels.rk4_block_profiles(two, y[2], y[3], a, b, n)
-
-    out, drift = _march(step, tuple(initial), events, is_sample, cfg)
-    return Trace(events[is_sample], out, drift)
+    blocks = (params.block_terms(), map_params_I_to_II(params).block_terms())
+    return _march([_block_deriv(c) for c in blocks], initial, t_end, cfg, sample_times)
 
 
 def integrate_block_fn(
@@ -221,7 +230,6 @@ def integrate_block_fn(
     :func:`spinpair._kernels.rk4_clamped`) so ``hfun`` is only asked
     for one-sided limits at its discontinuities.
     """
-    events, is_sample = _event_grid(t_end, sample_times, breakpoints)
 
     def deriv(t, y1, y2):
         h = hfun(t)
@@ -231,11 +239,7 @@ def integrate_block_fn(
         h11 = complex(h[1][1])
         return -1j * (h00 * y1 + h01 * y2), -1j * (h10 * y1 + h11 * y2)
 
-    def step(y, a, b, n):
-        return _kernels.rk4_clamped(deriv, y[0], y[1], a, b, n)
-
-    out, drift = _march(step, tuple(initial), events, is_sample, cfg)
-    return Trace(events[is_sample], out, drift)
+    return _march([deriv], initial, t_end, cfg, sample_times, breakpoints)
 
 
 def integrate_block_ic2(
@@ -273,7 +277,6 @@ def integrate_block_ic2(
             "ic2 kernel coefficients must be finite, with nonzero beta and rate"
         )
     mu, beta, phi, kappa, cos2t0, big_a = coeffs[:6]
-    events, is_sample = _event_grid(t_end, sample_times, breakpoints)
 
     def deriv(t, y1, y2):
         w = _ic2_field(mu, beta, phi, kappa, cos2t0, big_a, t)
@@ -281,11 +284,7 @@ def integrate_block_ic2(
         z4 = 0.25 * _two_term(coeffs, 6, t)
         return -1j * ((w + z4) * y1 + l * y2), -1j * (l * y1 + (z4 - w) * y2)
 
-    def step(y, a, b, n):
-        return _kernels.rk4_clamped(deriv, y[0], y[1], a, b, n)
-
-    out, drift = _march(step, tuple(initial), events, is_sample, cfg)
-    return Trace(events[is_sample], out, drift)
+    return _march([deriv], initial, t_end, cfg, sample_times, breakpoints)
 
 
 def _norm_bound(coeffs: Sequence[float]) -> float:
@@ -340,7 +339,6 @@ def magnus_full(
     amps[:, 0], amps[:, 1] = _kernels.magnus_block_profiles(blocks[0], y[0], y[1], events, counts)
     amps[:, 2], amps[:, 3] = _kernels.magnus_block_profiles(blocks[1], y[2], y[3], events, counts)
     out = amps[is_sample]
-    with np.errstate(over="ignore", invalid="ignore"):
-        drift = float(np.max(np.abs(np.sum(np.abs(out) ** 2, axis=1) - _norm2(y))))
+    drift = _drift(out, y)
     _check_drift(drift, cfg)
     return Trace(events[is_sample], out, drift)

@@ -29,6 +29,7 @@ from spinpair.config import (
     build_rwa,
     parse_config,
     parse_profile,
+    sweep_point_name,
 )
 from spinpair.drive import Constant
 from spinpair.entangle import FourState, concurrence_pure
@@ -522,6 +523,48 @@ def test_main_sweep_refuses_values_that_share_a_point_file(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("sweep", [
+    pytest.param({"parameter": "numeric.step", "values": [0.01, -0.01]}, id="refused-by-parse"),
+    pytest.param({"parameter": "numeric.omega_plus.amplitude", "values": [2.0, 1e150]}, id="refused-by-run"),
+])
+def test_main_sweep_refused_at_a_later_point_writes_nothing(tmp_path, capsys, sweep):
+    # the first point's CSV was written before the second point was refused
+    data = {
+        "mode": "numeric",
+        "initial_state": "pp",
+        "time": {"t_end": 0.5, "samples": 6},
+        "numeric": {"omega_plus": dict(SINUSOID), "step": 0.01},
+        "sweep": sweep,
+    }
+    path = write_yaml(tmp_path, "s", data)
+    assert main(["sweep", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_sweep_over_samples_keeps_an_integer(tmp_path, trace_reader):
+    # time.samples once took float(value) and refused every point
+    data = ic1_data(name="n", sweep={"parameter": "time.samples", "values": [11, 6]})
+    paths = run_sweep(parse_config(data, "n"), tmp_path)
+    assert [p.name for p in paths] == ["n_6.csv", "n_11.csv", "n_summary.csv"]
+    for path, samples in zip(paths, (6, 11)):
+        assert f"# time.samples: {samples}" in path.read_text(encoding="utf-8").splitlines()
+        assert trace_reader(path)["t"].size == samples
+    with pytest.raises(ConfigError, match="'time.samples' is an integer; value 6.5 is not"):
+        parse_config(ic1_data(sweep={"parameter": "time.samples", "values": [11, 6.5]}), "n")
+
+
+@pytest.mark.parametrize("where", ["a file", "under a file", "a directory named like the CSV"])
+def test_main_unwritable_output_exits_2(tmp_path, capsys, where):
+    blocker = tmp_path / "afile"
+    blocker.write_text("x", encoding="utf-8")
+    output = {"a file": blocker, "under a file": blocker / "sub"}.get(where, tmp_path / "out")
+    if where == "a directory named like the CSV":
+        (output / "fig1b.csv").mkdir(parents=True)
+    assert main(["figures", "fig1b", "--output", str(output)]) == 2
+    assert f"error: cannot write {output / 'fig1b.csv'}: " in capsys.readouterr().err
+
+
 # --- property: main() ends in 0 or 2 on any small config ---------------------
 
 def _profiles(amplitudes, frequencies):
@@ -596,27 +639,35 @@ def _leaves(node, path=()):
     return [leaf for key, child in items for leaf in _leaves(child, path + (key,))]
 
 
+def _at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
 @st.composite
-def _configs(draw):
-    # a config in range; every other one then gets one leaf replaced by a
-    # zero, negative, huge, non-finite or non-numeric value
+def _configs_in_range(draw):
     mode = draw(st.sampled_from(sorted(_SECTIONS)))
     initial = st.sampled_from(
         ["pp", "mm", "pm", "mp", "bell_s", "bell_a", "phi1", "phi2", "phi3", "phi4",
          [0.5, [0.0, 0.5], 0.5, -0.5]]
     )
     time = {"t_end": draw(st.sampled_from([0.5, 1.0, 2.0])), "samples": draw(st.integers(2, 50))}
-    # a copy: the corruption below must not reach the shared sampled values
-    data = copy.deepcopy(
+    # a copy: changes by the caller must not reach the shared sampled values
+    return copy.deepcopy(
         {"mode": mode, "initial_state": draw(initial), "time": time, mode: draw(_SECTIONS[mode])}
     )
+
+
+@st.composite
+def _configs(draw):
+    # a config in range; every other one then gets one leaf replaced by a
+    # zero, negative, huge, non-finite or non-numeric value
+    data = draw(_configs_in_range())
     if draw(st.booleans()):
         path = draw(st.sampled_from(_leaves(data)))
         bad = [0.0, -1.0, 1e150, -1e300, math.nan, math.inf, -math.inf, "x", None]
-        node = data
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = draw(st.sampled_from(bad))
+        _at(data, path[:-1])[path[-1]] = draw(st.sampled_from(bad))
     return data
 
 
@@ -635,5 +686,48 @@ def test_main_exits_0_or_2_on_generated_configs(data):
             (csv,) = csvs
             rows = [ln for ln in csv.read_text().splitlines() if not ln.startswith("#")]
             assert "nan" not in "".join(rows).lower()
+        else:
+            assert not csvs
+
+
+@st.composite
+def _sweep_configs(draw):
+    # a config in range swept over one of its numeric leaves: 2-3 values
+    # drawn from the leaf's own, its neighbours and bad ones
+    data = draw(_configs_in_range())
+    numeric = [
+        path for path in _leaves(data)
+        if all(isinstance(key, str) for key in path)
+        and isinstance(_at(data, path), (int, float))
+        and not isinstance(_at(data, path), bool)
+    ]
+    path = draw(st.sampled_from(numeric))
+    old = _at(data, path)
+    near = [old, 2 * old, old + 1, old - 1] if isinstance(old, int) else [old, 2.0 * old, 0.5 * old]
+    bad = [0.0, -1.0, 2.5, 1e150, -1e300, math.nan]
+    values = draw(st.lists(st.sampled_from(near + bad), min_size=2, max_size=3, unique=True))
+    data["sweep"] = {"parameter": ".".join(path), "values": values}
+    return data
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=_sweep_configs())
+def test_main_sweep_exits_0_or_2_on_generated_configs(data):
+    # exit 0 writes every point CSV and the summary, without a NaN; exit 2
+    # writes nothing, even when an early point was fine
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_yaml(Path(tmp), "case", data)
+        outdir = Path(tmp) / "out"
+        code = main(["sweep", str(path), "--output", str(outdir)])
+        assert code in (0, 2)
+        csvs = sorted(outdir.glob("*.csv"))
+        if code == 0:
+            names = {f"{sweep_point_name('case', float(v))}.csv" for v in data["sweep"]["values"]}
+            assert {csv.name for csv in csvs} == names | {"case_summary.csv"}
+            for csv in csvs:
+                # the rows after the header: "dominant_frequency" holds "nan"
+                rows = [ln for ln in csv.read_text().splitlines() if not ln.startswith("#")]
+                assert "nan" not in "".join(rows[1:]).lower()
         else:
             assert not csvs

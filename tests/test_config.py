@@ -110,6 +110,8 @@ def test_parse_config_explicit_amplitudes():
     {"initial_state": [1e300, 0.0, 0.0, 0.0]},
     {"initial_state": [[1.7e308, 1.7e308], 0.0, 0.0, 0.0]},
     {"ic1": {"k": 1e300, "omega_plus": dict(SINUSOID_NODE)}},
+    # 10**30 samples ended in a raw ValueError from np.linspace
+    {"time": {"t_end": 1.0, "samples": 10**7 + 1}},
 ])
 def test_parse_config_rejects(mutate):
     with pytest.raises(ConfigError):

@@ -305,6 +305,31 @@ def test_magnus_error_falls_16x_per_halved_step():
     assert 14.0 < errors[0] / errors[1] < 18.0
 
 
+def test_rk4_error_falls_16x_per_halved_step():
+    # integrate_full steps each block through the same rk4_clamped loop as
+    # the ic2 and generic-block oracles; three halvings keep it fourth order
+    setup, params, convention = build_ic1({
+        "k": 0.7,
+        "omega_plus": {"kind": "sinusoid", "amplitude": 1.0, "frequency": 10.0, "phase": 0.3},
+        "lambda_z": {"kind": "sinusoid", "amplitude": 0.8, "frequency": 7.0},
+    })
+    # segments of 0.5 split into exactly 16, 32, 64 and 128 steps
+    times = np.linspace(0.0, 2.0, 5)
+    exact = ic1_evolve(setup, params, times, "phi1", convention)
+    initial = (math.cos(setup.theta10), math.sin(setup.theta10), 0.0, 0.0)
+    errors = []
+    for step in (2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8):
+        trace = integrate_full(params, initial, 2.0, IntegratorConfig(step=step), sample_times=times)
+        errors.append(
+            max(
+                np.max(np.abs(trace.amplitudes[:, 0] - exact.a1)),
+                np.max(np.abs(trace.amplitudes[:, 1] - exact.a2)),
+            )
+        )
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(14.0 < r < 18.0 for r in ratios), ratios
+
+
 def test_magnus_refuses_a_step_too_long_for_the_drives():
     params = ModelParams.from_derived(omega_plus=Sinusoid(1e150, 3.0))
     cfg = IntegratorConfig(step=suggest_step(params, 1.0))

@@ -26,14 +26,13 @@ from .config import RunConfig, SweepSpec, load_config, parse_config
 from .drive import (
     Constant,
     DriveProfile,
-    Scaled,
     Sinusoid,
     evaluate,
     frequencies,
     integral,
     integral_abs,
     is_static,
-    negate,
+    scale,
     single_term,
 )
 from .entangle import (
@@ -112,13 +111,12 @@ __all__ = [
     # drive
     "Constant",
     "Sinusoid",
-    "Scaled",
     "DriveProfile",
     "evaluate",
     "integral",
     "integral_abs",
     "is_static",
-    "negate",
+    "scale",
     "single_term",
     "frequencies",
     # model

@@ -301,8 +301,8 @@ def run_sweep(cfg: RunConfig, outdir: Path) -> list[Path]:
 
     Point traces land next to the summary as ``<name>_<value>.csv``;
     the summary rows are sorted by swept value.  Every point is parsed,
-    then computed, before the first file is written, so a refused point
-    leaves no partial sweep behind.
+    then computed, before the first file is written, and a failed write
+    removes the files written before it, so no partial sweep is left.
     """
     if cfg.sweep is None:
         raise ConfigError("config has no sweep block; use 'simulate run'")
@@ -314,14 +314,20 @@ def run_sweep(cfg: RunConfig, outdir: Path) -> list[Path]:
     lines = [f"# {key}: {val}" for key, val in _flatten_echo(cfg.data)]
     lines.append(",".join(SUMMARY_COLUMNS))
     paths = []
-    for value, name, trace in traces:
-        paths.append(outdir / f"{name}.csv")
-        trace.to_csv(paths[-1])
-        stats = trace_stats(trace)
-        row = (value,) + tuple(stats[k] for k in SUMMARY_COLUMNS[1:])
-        lines.append(",".join("%.12e" % v for v in row))
-    summary = outdir / f"{cfg.name}_summary.csv"
-    _write_text(summary, lines)
+    try:
+        for value, name, trace in traces:
+            path = outdir / f"{name}.csv"
+            trace.to_csv(path)
+            paths.append(path)
+            stats = trace_stats(trace)
+            row = (value,) + tuple(stats[k] for k in SUMMARY_COLUMNS[1:])
+            lines.append(",".join("%.12e" % v for v in row))
+        summary = outdir / f"{cfg.name}_summary.csv"
+        _write_text(summary, lines)
+    except ConfigError:
+        for path in paths:
+            path.unlink(missing_ok=True)
+        raise
     return paths + [summary]
 
 

@@ -14,9 +14,10 @@ A run config is a mapping with the keys
 
 Drive profiles are written as ``{kind: constant, value: v}``,
 ``{kind: sinusoid, amplitude: a, frequency: b, phase: p}`` (phase
-optional) or ``{kind: scaled, factor: k, base: <profile>}``; a bare
-number is shorthand for a constant.  Unknown keys anywhere are errors:
-configs are meant to reproduce exactly or fail loudly.
+optional) or ``{kind: scaled, factor: k, base: <profile>}``, which is
+folded into a constant or a sinusoid when parsed; a bare number is
+shorthand for a constant.  Unknown keys anywhere are errors: configs
+are meant to reproduce exactly or fail loudly.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Any
 import yaml
 
 from .approx import RwaMode, RwaSetup
-from .drive import Constant, DriveProfile, Scaled, Sinusoid, negate
+from .drive import Constant, DriveProfile, Sinusoid, scale
 from .errors import ConfigError
 from .exact import _MIN_RATE, IC1Setup, IC2Setup, PhaseConvention
 from .model import ModelParams
@@ -171,10 +172,11 @@ def parse_profile(node: Any, where: str) -> DriveProfile:
         _check_keys(mapping, {"kind", "factor", "base"}, where)
         if "base" not in mapping:
             raise ConfigError(f"missing key 'base' in {where}")
-        return Scaled(
-            _number(mapping, "factor", where),
-            parse_profile(mapping["base"], f"{where}.base"),
-        )
+        factor = _number(mapping, "factor", where)
+        try:
+            return scale(factor, parse_profile(mapping["base"], f"{where}.base"))
+        except ValueError:
+            raise ConfigError(f"{where}: factor {factor!r} times its base overflows") from None
     raise ConfigError(
         f"{where}.kind must be one of constant, sinusoid, scaled; got {kind!r}"
     )
@@ -369,13 +371,16 @@ def build_ic1(section: Any) -> tuple[IC1Setup, ModelParams, PhaseConvention]:
     omega_plus = parse_profile(mapping["omega_plus"], "ic1.omega_plus")
     omega_minus = parse_profile(mapping.get("omega_minus", 0.0), "ic1.omega_minus")
     lambda_z = parse_profile(mapping.get("lambda_z", 0.0), "ic1.lambda_z")
-    params = ModelParams.from_derived(
-        omega_plus=omega_plus,
-        omega_minus=omega_minus,
-        lambda_m=Scaled(k, omega_plus),
-        lambda_p=Scaled(k2, omega_minus),
-        lambda_z=lambda_z,
-    )
+    try:
+        params = ModelParams.from_derived(
+            omega_plus=omega_plus,
+            omega_minus=omega_minus,
+            lambda_m=scale(k, omega_plus),
+            lambda_p=scale(k2, omega_minus),
+            lambda_z=lambda_z,
+        )
+    except ValueError:
+        raise ConfigError("ic1: k*omega_plus or k2*omega_minus overflows") from None
     conv_raw = mapping.get("phase_convention", "signed")
     try:
         convention = PhaseConvention(conv_raw)
@@ -419,7 +424,7 @@ def build_ic2(section: Any) -> tuple[IC2Setup, IC2Setup | None]:
         raise ConfigError(f"ic2: |chi| must be 0 or at least {_MIN_RATE:g}")
     if not 0.0 <= theta20 <= 0.5 * math.pi:
         raise ConfigError("ic2: theta20 must lie in [0, pi/2]")
-    return one, (IC2Setup(chi, theta20, lambda_p, negate(lambda_z)) if chi else None)
+    return one, (IC2Setup(chi, theta20, lambda_p, scale(-1.0, lambda_z)) if chi else None)
 
 
 def build_rwa(section: Any) -> RwaSetup:

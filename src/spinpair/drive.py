@@ -1,9 +1,9 @@
 """Drive profiles and their exact time integrals.
 
 Every time-dependent coefficient in the model (exchange couplings and
-local fields) is one of three closed profile kinds: a constant, a pure
-sinusoid, or a scalar multiple of another profile.  The closed algebra
-keeps every integral exact, which the analytic propagators rely on.
+local fields) is one of two profile kinds: a constant or a pure
+sinusoid, and :func:`scale` keeps the kind.  Every integral is exact,
+which the analytic propagators rely on.
 
 Profiles are frozen dataclasses that refuse non-finite numbers; sharing
 a profile between two parameter sets is safe because no profile can be
@@ -15,20 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 __all__ = [
     "Constant",
     "Sinusoid",
-    "Scaled",
     "DriveProfile",
     "evaluate",
     "integral",
     "integral_abs",
     "is_static",
-    "negate",
+    "scale",
     "single_term",
     "frequencies",
 ]
@@ -64,19 +62,7 @@ class Sinusoid:
             raise ValueError("sinusoid frequency must be nonzero")
 
 
-@dataclass(frozen=True)
-class Scaled:
-    """factor * base, with ``base`` any other profile."""
-
-    factor: float
-    base: "DriveProfile"
-
-    def __post_init__(self):
-        if not math.isfinite(self.factor):
-            raise ValueError(f"scale factor must be finite, got {self.factor!r}")
-
-
-DriveProfile = Union[Constant, Sinusoid, Scaled]
+DriveProfile = Constant | Sinusoid
 
 
 def evaluate(profile: DriveProfile, t: float | np.ndarray) -> float | np.ndarray:
@@ -90,8 +76,6 @@ def evaluate(profile: DriveProfile, t: float | np.ndarray) -> float | np.ndarray
             return np.full_like(t, v)[()]
         case Sinusoid(amplitude=a, frequency=b, phase=p):
             return a * np.sin(b * t + p)
-        case Scaled(factor=k, base=base):
-            return k * evaluate(base, t)
     raise TypeError(f"not a drive profile: {profile!r}")
 
 
@@ -103,8 +87,6 @@ def integral(profile: DriveProfile, t: float | np.ndarray) -> float | np.ndarray
             return v * t[()]
         case Sinusoid(amplitude=a, frequency=b, phase=p):
             return (a / b) * (math.cos(p) - np.cos(b * t + p))
-        case Scaled(factor=k, base=base):
-            return k * integral(base, t)
     raise TypeError(f"not a drive profile: {profile!r}")
 
 
@@ -122,8 +104,6 @@ def integral_abs(profile: DriveProfile, t: float | np.ndarray) -> float | np.nda
             return abs(v) * t[()]
         case Sinusoid(amplitude=a, frequency=b, phase=p):
             return abs(a) * (_abs_sin_primitive(b * t + p) - _abs_sin_primitive(p)) / b
-        case Scaled(factor=k, base=base):
-            return abs(k) * integral_abs(base, t)
     raise TypeError(f"not a drive profile: {profile!r}")
 
 
@@ -134,37 +114,33 @@ def is_static(profile: DriveProfile) -> bool:
             return True
         case Sinusoid():
             return False
-        case Scaled(base=base):
-            return is_static(base)
     raise TypeError(f"not a drive profile: {profile!r}")
 
 
-def negate(profile: DriveProfile) -> DriveProfile:
-    """Structural negation; applying it twice returns an equal profile."""
+def scale(factor: float, profile: DriveProfile) -> DriveProfile:
+    """factor * profile as a profile of the same kind.
+
+    ``scale(-1.0, p)`` negates exactly, signed zeros included.  A
+    non-finite product is refused with ``ValueError``, as by any profile.
+    """
     match profile:
         case Constant(value=v):
-            return Constant(-v)
+            return Constant(factor * v)
         case Sinusoid(amplitude=a, frequency=b, phase=p):
-            return Sinusoid(-a, b, p)
-        case Scaled(factor=k, base=base):
-            return Scaled(-k, base)
+            return Sinusoid(factor * a, b, p)
     raise TypeError(f"not a drive profile: {profile!r}")
 
 
 def single_term(profile: DriveProfile) -> tuple[float, float, float, float]:
     """Collapse a profile to (amplitude, frequency, phase, offset).
 
-    Every profile in the closed algebra is exactly
-    amplitude*sin(frequency*t + phase) + offset.
+    Every profile is exactly amplitude*sin(frequency*t + phase) + offset.
     """
     match profile:
         case Constant(value=v):
             return (0.0, 0.0, 0.0, v)
         case Sinusoid(amplitude=a, frequency=b, phase=p):
             return (a, b, p, 0.0)
-        case Scaled(factor=k, base=base):
-            a, b, p, o = single_term(base)
-            return (k * a, b, p, k * o)
     raise TypeError(f"not a drive profile: {profile!r}")
 
 
@@ -175,6 +151,4 @@ def frequencies(profile: DriveProfile) -> list[float]:
             return []
         case Sinusoid(frequency=b):
             return [abs(b)]
-        case Scaled(base=base):
-            return frequencies(base)
     raise TypeError(f"not a drive profile: {profile!r}")

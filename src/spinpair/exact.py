@@ -37,6 +37,7 @@ from ._kernels import _ic2_field
 from .drive import Constant, DriveProfile
 from .errors import ConfigError, BranchExitError, NotIntegrableError
 from .model import ModelParams, map_params_I_to_II
+from .oracle import _MAX_STEPS
 
 __all__ = [
     "PhaseConvention",
@@ -498,13 +499,17 @@ def ic2_breakpoints(setup: IC2Setup, t_end: float) -> list[float]:
 
     The derived field jumps at these times, so numeric integration
     must not step across them.  Solves ``cos(2*theta(t)) = +-1``
-    exactly for sinusoidal and constant couplings.
+    exactly.
 
     Raises
     ------
+    ValueError
+        If ``t_end`` is not finite.
     ConfigError
-        If the coupling is neither a pure sinusoid nor a constant.
+        If the touches number more than the oracle's step budget.
     """
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end!r}")
     rate, profile = setup.kappa, setup.lambda_m
     if t_end <= 0.0:
         return []
@@ -517,6 +522,9 @@ def ic2_breakpoints(setup: IC2Setup, t_end: float) -> list[float]:
         # a product 2*rate*mu that underflows to 0 means an infinite scale
         denom = 2.0 * rate * mu
         scale = beta / denom if denom != 0.0 else math.inf
+        # beta*t + phi = branch + 2*pi*n for n0 <= n < n_end, which ends
+        # a period past t_end to leave room for rounding
+        runs = []
         for edge in (1.0, -1.0):
             # the shift is 0 at edge == c0 for every scale, also an infinite one
             shift = 0.0 if edge == c0 else (edge - c0) * scale
@@ -526,25 +534,27 @@ def ic2_breakpoints(setup: IC2Setup, t_end: float) -> list[float]:
                     continue
                 target = math.copysign(1.0, target)
             base = math.acos(target)
-            for branch in (base, -base):
-                # beta*t + phi = branch + 2*pi*n
+            # a set: at the edge itself (base 0) the two branches are one
+            for branch in {base, -base}:
                 n0 = math.floor((phi - branch) / (2.0 * math.pi))
-                n = n0
-                while True:
-                    tt = (branch + 2.0 * math.pi * n - phi) / beta
-                    if tt >= t_end:
-                        break
-                    if tt > 0.0:
-                        out.append(tt)
-                    n += 1
-    else:
-        amp, freq, phase, offset = drive.single_term(profile)
-        if freq != 0.0 or amp != 0.0:
+                n_end = (beta * t_end + phi - branch) / (2.0 * math.pi) + 2.0
+                runs.append((branch, n0, n_end))
+        # each touch costs the oracle's march a step; an inf count is refused too
+        count = sum(n_end - n0 for _branch, n0, n_end in runs)
+        if not count <= _MAX_STEPS:
             raise ConfigError(
-                "breakpoints require a pure sinusoidal or constant coupling"
+                f"the drive touches the branch edge about {count:.3e} times before "
+                f"t_end, over the step budget of {_MAX_STEPS:.0e}; shorten the run"
             )
-        speed = 2.0 * rate * offset
+        for branch, n0, n_end in runs:
+            n = np.arange(n0, math.floor(n_end), dtype=float)
+            # the same arithmetic per n as one scalar at a time
+            tt = (branch + 2.0 * math.pi * n - phi) / beta
+            out.extend(tt[(tt > 0.0) & (tt < t_end)].tolist())
+    else:
+        # a constant, or a zero-amplitude sinusoid whose offset is 0;
         # a speed that underflows to 0 never reaches an edge
+        speed = 2.0 * rate * drive.single_term(profile)[3]
         if speed != 0.0:
             for edge in (1.0, -1.0):
                 tt = (c0 - edge) / speed

@@ -49,7 +49,7 @@ COUPLED_LABELS = ("pp", "mm", "s", "a")
 
 
 def _combine(c1: float, p1: DriveProfile, c2: float, p2: DriveProfile) -> DriveProfile:
-    """c1*p1 + c2*p2 as a single profile, if the closed algebra allows it."""
+    """c1*p1 + c2*p2 as a single profile, if the two kinds allow it."""
     a1, b1, ph1, o1 = drive.single_term(p1)
     a2, b2, ph2, o2 = drive.single_term(p2)
     a1, o1 = c1 * a1, c1 * o1
@@ -101,8 +101,8 @@ class ModelParams:
         """Build primitives from the derived combinations.
 
         Raises :class:`ConfigError` when a required sum (for example
-        ``lambda_x = 2*lambda_p + 2*lambda_m``) leaves the closed profile
-        algebra.
+        ``lambda_x = 2*lambda_p + 2*lambda_m``) is not one constant or one
+        sinusoid.
         """
         return cls(
             lambda_x=_combine(2.0, lambda_p, 2.0, lambda_m),
@@ -172,10 +172,10 @@ def map_params_I_to_II(params: ModelParams) -> ModelParams:
     """
     return ModelParams(
         lambda_x=params.lambda_x,
-        lambda_y=drive.negate(params.lambda_y),
-        lambda_z=drive.negate(params.lambda_z),
+        lambda_y=drive.scale(-1.0, params.lambda_y),
+        lambda_z=drive.scale(-1.0, params.lambda_z),
         omega_1=params.omega_1,
-        omega_2=drive.negate(params.omega_2),
+        omega_2=drive.scale(-1.0, params.omega_2),
     )
 
 

@@ -4,11 +4,11 @@ The Hamiltonian conserves the joint spin parity, splitting the Hilbert
 space into two 2x2 blocks, and carries two further discrete symmetries:
 a reflection exchanging the blocks and a global flip negating the
 fields.  Each is implemented as a parameter and/or state transform;
-all are exact involutions built from structural negation, so applying
-one twice returns an equal object.  The program reads subspace II
-through :func:`map_params_I_to_II` (defined in :mod:`spinpair.model`);
-the other maps are cross-checks that the propagators and concurrence
-formulas must commute with.
+all are exact involutions built from ``drive.scale(-1.0, ...)``,
+which negates exactly, so applying one twice returns an equal object.
+The program reads subspace II through :func:`map_params_I_to_II`
+(defined in :mod:`spinpair.model`); the other maps are cross-checks
+that the propagators and concurrence formulas must commute with.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ def map_params_global_flip(params: ModelParams) -> ModelParams:
         lambda_x=params.lambda_x,
         lambda_y=params.lambda_y,
         lambda_z=params.lambda_z,
-        omega_1=drive.negate(params.omega_1),
-        omega_2=drive.negate(params.omega_2),
+        omega_1=drive.scale(-1.0, params.omega_1),
+        omega_2=drive.scale(-1.0, params.omega_2),
     )
 
 

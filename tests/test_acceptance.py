@@ -15,7 +15,7 @@ from conftest import read_csv
 from spinpair.approx import RwaMode, RwaSetup, perturb_x1, perturb_x2, rwa_evolve
 from spinpair.cli import compute_trace, load_preset, preset_ids, run_sweep
 from spinpair.config import apply_sweep_value, parse_config
-from spinpair.drive import Constant, Scaled, Sinusoid
+from spinpair.drive import Constant, Sinusoid, scale
 from spinpair.entangle import (
     DensityMatrix,
     FourState,
@@ -79,7 +79,7 @@ def test_criterion_03_proportional_closed_form_vs_rk4():
         # first eigenstate in I and the second in II
         setup = IC1Setup.from_ratios(k, k)
         params = ModelParams.from_derived(
-            omega_plus=wp, lambda_m=Scaled(k, wp), omega_minus=wp, lambda_p=Scaled(k, wp)
+            omega_plus=wp, lambda_m=scale(k, wp), omega_minus=wp, lambda_p=scale(k, wp)
         )
         c0, s0 = math.cos(setup.theta10), math.sin(setup.theta10)
         trace = integrate_full(params, (c0, s0, -s0, c0), 10.0, cfg, sample_times=times)

@@ -1,6 +1,10 @@
 import copy
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +13,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinpair
 from spinpair.cli import (
     CSV_COLUMNS,
     SUMMARY_COLUMNS,
@@ -563,6 +568,118 @@ def test_main_unwritable_output_exits_2(tmp_path, capsys, where):
         (output / "fig1b.csv").mkdir(parents=True)
     assert main(["figures", "fig1b", "--output", str(output)]) == 2
     assert f"error: cannot write {output / 'fig1b.csv'}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "figures"])
+def test_main_unwritable_summary_leaves_no_point_csv(tmp_path, capsys, command):
+    # the point CSVs were written, then the summary failed and they stayed
+    outdir = tmp_path / "out"
+    if command == "sweep":
+        data = ic1_data(sweep={"parameter": "ic1.k", "values": [0.5, 1.0]})
+        path = write_yaml(tmp_path, "s", data)
+        argv, blocked = ["sweep", str(path)], outdir / "s_summary.csv"
+    else:
+        argv, blocked = ["figures", "fig9"], outdir / "fig9_summary.csv"
+    blocked.mkdir(parents=True)
+    assert main(argv + ["--output", str(outdir)]) == 2
+    assert f"error: cannot write {blocked}: " in capsys.readouterr().err
+    assert [p for p in tmp_path.rglob("*.csv") if p.is_file()] == []
+
+
+def test_main_overflowing_scaled_profile_exits_2(tmp_path, capsys):
+    # this passed parsing, printed a NumPy overflow warning and only then
+    # failed the step check
+    path = tmp_path / "huge.yaml"
+    path.write_text(
+        "mode: numeric\n"
+        "initial_state: pp\n"
+        "time: {t_end: 1.0, samples: 11}\n"
+        "numeric:\n"
+        "  lambda_x: 0.0\n"
+        "  lambda_y: 0.0\n"
+        "  lambda_z: {kind: scaled, factor: 1.0e+200, base: 1.0e+200}\n"
+        "  omega_1: 1.0\n"
+        "  omega_2: 1.0\n",
+        encoding="utf-8",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert "error: numeric.lambda_z: factor 1e+200 times its base overflows" in (
+        capsys.readouterr().err
+    )
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+# --- determinism across processes, and of a sweep point against a run -----------
+
+def _csv_from_a_fresh_process(argv, outdir, name):
+    src = str(Path(spinpair.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    subprocess.run(
+        [sys.executable, "-m", "spinpair.cli", *argv, "--output", str(outdir)],
+        env=env, check=True, capture_output=True,
+    )
+    return (outdir / name).read_bytes()
+
+
+def test_csv_bytes_repeat_in_a_fresh_process(tmp_path):
+    numeric = write_yaml(tmp_path, "num", {
+        "mode": "numeric",
+        "initial_state": "bell_s",
+        "time": {"t_end": 1.0, "samples": 51},
+        "numeric": {
+            "omega_plus": dict(SINUSOID),
+            "lambda_m": {"kind": "scaled", "factor": 0.5, "base": dict(SINUSOID)},
+            "omega_minus": dict(SINUSOID, amplitude=1.0),
+            "lambda_z": 0.4,
+        },
+    })
+    for argv, name in ((["figures", "fig8a"], "fig8a.csv"), (["run", str(numeric)], "num.csv")):
+        first = _csv_from_a_fresh_process(argv, tmp_path / "first", name)
+        assert _csv_from_a_fresh_process(argv, tmp_path / "second", name) == first
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(
+        ic1_data(
+            initial_state="bell_s",
+            ic1={"k": 0.5, "k2": 0.3, "omega_plus": dict(SINUSOID),
+                 "omega_minus": dict(SINUSOID, amplitude=1.0), "lambda_z": 0.4},
+            sweep={"parameter": "ic1.omega_plus.amplitude", "values": [3.0, 0.5, 2.0]},
+        ),
+        id="ic1",
+    ),
+    pytest.param(
+        {
+            "mode": "rwa",
+            "initial_state": "phi1",
+            "time": {"t_end": 2.0, "samples": 41},
+            "rwa": {
+                "mode": "field_drive",
+                "static_value": 5.0,
+                "drive": {"kind": "sinusoid", "amplitude": 0.25, "frequency": 10.5},
+                "theta10": 0.3,
+            },
+            "sweep": {"parameter": "rwa.drive.frequency", "values": [10.0, 10.5, 11.25]},
+        },
+        id="rwa",
+    ),
+])
+def test_sweep_point_csv_equals_a_run_of_its_config(tmp_path, data):
+    config = write_yaml(tmp_path, "s", data)
+    assert main(["sweep", str(config), "--output", str(tmp_path / "sweep")]) == 0
+    *parents, leaf = data["sweep"]["parameter"].split(".")
+    for value in data["sweep"]["values"]:
+        point = copy.deepcopy(data)
+        del point["sweep"]
+        _at(point, parents)[leaf] = value
+        point["name"] = f"s_{value:g}"
+        run = write_yaml(tmp_path, point["name"], point)
+        assert main(["run", str(run), "--output", str(tmp_path / "run")]) == 0
+        csv = f"{point['name']}.csv"
+        assert (tmp_path / "run" / csv).read_bytes() == (tmp_path / "sweep" / csv).read_bytes()
 
 
 # --- property: main() ends in 0 or 2 on any small config ---------------------

@@ -15,7 +15,7 @@ from spinpair.config import (
     parse_config,
     parse_profile,
 )
-from spinpair.drive import Constant, Scaled, Sinusoid
+from spinpair.drive import Constant, Sinusoid
 from spinpair.errors import ConfigError
 from spinpair.exact import IC2Setup, PhaseConvention
 from spinpair.model import map_params_I_to_II
@@ -44,7 +44,7 @@ def test_parse_profile_forms():
         {"kind": "sinusoid", "amplitude": 1, "frequency": 2}, "x"
     ) == Sinusoid(1.0, 2.0, 0.0)
     nested = {"kind": "scaled", "factor": 0.5, "base": SINUSOID_NODE}
-    assert parse_profile(nested, "x") == Scaled(0.5, Sinusoid(2.0, 50.0, 0.1))
+    assert parse_profile(nested, "x") == Sinusoid(1.0, 50.0, 0.1)
 
 
 @pytest.mark.parametrize("node", [
@@ -55,6 +55,10 @@ def test_parse_profile_forms():
     {"kind": "scaled", "factor": 1.0},
     True,
     "fast",
+    # a scaled node is folded when parsed, and the product must stay finite
+    {"kind": "scaled", "factor": 1.0e200, "base": 1.0e200},
+    {"kind": "scaled", "factor": -1.0e200, "base": {"kind": "sinusoid", "amplitude": 1.0e200,
+                                                    "frequency": 1.0}},
 ])
 def test_parse_profile_rejects(node):
     with pytest.raises(ConfigError):
@@ -322,6 +326,32 @@ def test_build_perturbation():
                 "drive": {"kind": "sinusoid", "amplitude": 0.25, "frequency": 10.5, "phase": 0.1},
             }
         )
+
+
+def test_rwa_and_perturbation_accept_a_scaled_sinusoid():
+    # a scaled node was refused as "must be a sinusoid profile"; it is
+    # folded into one when parsed
+    scaled = {"kind": "scaled", "factor": 0.5,
+              "base": {"kind": "sinusoid", "amplitude": 0.5, "frequency": 10.5}}
+    setup = build_rwa(
+        {"mode": "lambda_drive", "static_value": 5.0, "drive": scaled, "theta10": 0.0}
+    )
+    assert setup.drive == Sinusoid(0.25, 10.5, 0.0)
+    assert build_perturbation({"omega_plus": 5.0, "drive": scaled}) == (5.0, Sinusoid(0.25, 10.5))
+    with pytest.raises(ConfigError, match="rwa.drive must be a sinusoid"):
+        build_rwa({"mode": "lambda_drive", "static_value": 5.0, "theta10": 0.0,
+                   "drive": {"kind": "scaled", "factor": 0.5, "base": 3.0}})
+
+
+def test_scaled_profile_overflow_names_its_path():
+    # the inner product 2e10 is finite, the outer one is not
+    inner = {"kind": "scaled", "factor": 1e10, "base": 2.0}
+    with pytest.raises(ConfigError, match=r"^ic2\.lambda_z: factor 1e\+300 times its base"):
+        parse_profile({"kind": "scaled", "factor": 1e300, "base": inner}, "ic2.lambda_z")
+    # k*omega_plus was a lazy node that from_derived refused as an overflowing combination
+    huge = {"kind": "sinusoid", "amplitude": 1e308, "frequency": 1.0}
+    with pytest.raises(ConfigError, match=r"ic1: k\*omega_plus or k2\*omega_minus overflows"):
+        build_ic1({"k": 10.0, "omega_plus": huge})
 
 
 def test_build_numeric_primitive():

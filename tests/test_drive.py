@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from conftest import quadrature
 from spinpair.drive import (
     Constant,
-    Scaled,
     Sinusoid,
     evaluate,
     frequencies,
     integral,
     integral_abs,
     is_static,
-    negate,
+    scale,
     single_term,
 )
 
@@ -25,16 +24,16 @@ PROFILES = [
     Sinusoid(2.0, 50.0, math.pi / 50),
     Sinusoid(-1.5, 3.0),
     Sinusoid(4.0, 10.0, 1.3),
-    Scaled(0.5, Sinusoid(2.0, 50.0, math.pi / 50)),
-    Scaled(-2.0, Scaled(0.25, Constant(3.0))),
-    Scaled(0.0, Sinusoid(1.0, 2.0)),
+    scale(0.5, Sinusoid(2.0, 50.0, math.pi / 50)),
+    scale(-2.0, scale(0.25, Constant(3.0))),
+    scale(0.0, Sinusoid(1.0, 2.0)),
 ]
 
 
 def test_evaluate_known_values():
     assert evaluate(Constant(0.7), 12.3) == 0.7
     assert evaluate(Sinusoid(2.0, 5.0, 0.5), 1.1) == 2.0 * math.sin(5.0 * 1.1 + 0.5)
-    assert evaluate(Scaled(-3.0, Constant(2.0)), 0.0) == -6.0
+    assert evaluate(scale(-3.0, Constant(2.0)), 0.0) == -6.0
 
 
 def test_sinusoid_rejects_zero_frequency():
@@ -50,7 +49,8 @@ def test_profiles_reject_non_finite_numbers(bad):
         lambda: Sinusoid(bad, 5.0),
         lambda: Sinusoid(1.0, bad),
         lambda: Sinusoid(1.0, 5.0, bad),
-        lambda: Scaled(bad, Constant(1.0)),
+        lambda: scale(bad, Constant(1.0)),
+        lambda: scale(bad, Sinusoid(1.0, 5.0)),
     ):
         with pytest.raises(ValueError, match="finite"):
             make()
@@ -97,17 +97,17 @@ def test_quadrature_known_integral():
 
 def test_is_static():
     assert is_static(Constant(1.0))
-    assert is_static(Scaled(2.0, Constant(1.0)))
+    assert is_static(scale(2.0, Constant(1.0)))
     assert not is_static(Sinusoid(1.0, 2.0))
-    assert not is_static(Scaled(0.0, Sinusoid(1.0, 2.0)))
+    assert not is_static(scale(0.0, Sinusoid(1.0, 2.0)))
 
 
 @pytest.mark.parametrize("profile", PROFILES)
 def test_negate_pointwise_and_involution(profile):
-    flipped = negate(profile)
+    flipped = scale(-1.0, profile)
     for t in (0.0, 0.4, 2.2):
         assert evaluate(flipped, t) == -evaluate(profile, t)
-    assert negate(flipped) == profile
+    assert scale(-1.0, flipped) == profile
 
 
 @pytest.mark.parametrize("profile", PROFILES)
@@ -119,11 +119,25 @@ def test_single_term_reconstructs_profile(profile):
 
 
 def test_single_term_scaled_distributes():
-    assert single_term(Scaled(3.0, Sinusoid(2.0, 5.0, 0.1))) == (6.0, 5.0, 0.1, 0.0)
-    assert single_term(Scaled(-2.0, Constant(4.0))) == (0.0, 0.0, 0.0, -8.0)
+    assert single_term(scale(3.0, Sinusoid(2.0, 5.0, 0.1))) == (6.0, 5.0, 0.1, 0.0)
+    assert single_term(scale(-2.0, Constant(4.0))) == (0.0, 0.0, 0.0, -8.0)
+
+
+def test_scale_keeps_the_kind_and_negates_signed_zeros():
+    assert scale(0.5, Sinusoid(2.0, 50.0, 0.1)) == Sinusoid(1.0, 50.0, 0.1)
+    assert scale(-2.0, scale(0.25, Constant(3.0))) == Constant(-1.5)
+    # -1.0 * v is -v bitwise: zeros change sign, as the maps' negation needs
+    for zero in (0.0, -0.0):
+        assert math.copysign(1.0, scale(-1.0, Constant(zero)).value) == -math.copysign(1.0, zero)
+        flipped = scale(-1.0, Sinusoid(zero, 3.0, 0.2))
+        assert math.copysign(1.0, flipped.amplitude) == -math.copysign(1.0, zero)
+    with pytest.raises(ValueError, match="finite"):
+        scale(1e200, Constant(1e200))
+    with pytest.raises(TypeError):
+        scale(2.0, 1.0)
 
 
 def test_frequencies():
     assert frequencies(Constant(2.0)) == []
     assert frequencies(Sinusoid(1.0, -7.0)) == [7.0]
-    assert frequencies(Scaled(0.5, Sinusoid(1.0, 3.0))) == [3.0]
+    assert frequencies(scale(0.5, Sinusoid(1.0, 3.0))) == [3.0]

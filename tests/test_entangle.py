@@ -192,13 +192,13 @@ INITIAL_AB = {
 @pytest.mark.parametrize("kind", sorted(INITIAL_AB))
 @pytest.mark.parametrize("t", [0.0, 0.11, 0.73, 2.0])
 def test_concurrence_ic1_matches_assembled_evolution(kind, t):
-    from spinpair.drive import Constant, Scaled
+    from spinpair.drive import Constant, scale
     from spinpair.model import ModelParams
 
     wp = Sinusoid(2.0, 50.0, math.pi / 50)
     setup = IC1Setup.from_ratios(0.5)
     params = ModelParams.from_derived(
-        omega_plus=wp, lambda_m=Scaled(0.5, wp), lambda_z=Constant(0.3)
+        omega_plus=wp, lambda_m=scale(0.5, wp), lambda_z=Constant(0.3)
     )
     x = ic1_evolve(setup, params, t, "phi1")
     y = ic1_evolve(setup, params, t, "phi2")

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from conftest import tensor_hamiltonian
 from spinpair import drive
 from spinpair.cli import compute_trace
 from spinpair.config import build_ic1, build_ic2, parse_config
-from spinpair.drive import Constant, Scaled, Sinusoid
-from spinpair.errors import AdmissibilityError, BranchExitError, NotIntegrableError
+from spinpair.drive import Constant, Sinusoid, scale
+from spinpair.errors import AdmissibilityError, BranchExitError, ConfigError, NotIntegrableError
 from spinpair.exact import (
     IC1Setup,
     IC2Setup,
@@ -38,9 +39,9 @@ WP = Sinusoid(2.0, 50.0, math.pi / 50)
 def proportional_params(k, k2=0.0):
     return ModelParams.from_derived(
         omega_plus=WP,
-        lambda_m=Scaled(k, WP),
+        lambda_m=scale(k, WP),
         omega_minus=Sinusoid(1.0, 50.0, math.pi / 50),
-        lambda_p=Scaled(k2, Sinusoid(1.0, 50.0, math.pi / 50)),
+        lambda_p=scale(k2, Sinusoid(1.0, 50.0, math.pi / 50)),
         lambda_z=Constant(0.5),
     )
 
@@ -166,7 +167,7 @@ def test_ic1_proportionality_is_decided_for_all_times():
     mirrored = ModelParams.from_derived(
         omega_plus=WP, lambda_m=Sinusoid(-1.0, -50.0, -math.pi / 50)
     )
-    direct = ModelParams.from_derived(omega_plus=WP, lambda_m=Scaled(0.5, WP))
+    direct = ModelParams.from_derived(omega_plus=WP, lambda_m=scale(0.5, WP))
     t = np.linspace(0.0, 2.0, 9)
     assert np.max(np.abs(ic1_phase(setup, mirrored, t, 1) - ic1_phase(setup, direct, t, 1))) < 1e-12
 
@@ -414,12 +415,49 @@ def test_ic2_breakpoints_interior_drive_has_none():
     assert ic2_breakpoints(INTERIOR, 2.0) == []
 
 
+@pytest.mark.parametrize("kappa,mu,beta,t_end", [
+    (0.1, 4.0, 50.0, 1.0),
+    (0.37, 7.3, 29.0, 40.37 * 2.0 * math.pi / 29.0),
+    (1.0, 0.25e4, 1e4, 100.0),
+])
+def test_ic2_breakpoints_equal_one_touch_at_a_time(kappa, mu, beta, t_end):
+    # theta10 = 0 and phase 0 touch the edge at beta*t = 2*pi*n; the
+    # vectorized list holds exactly the floats of one scalar per n
+    setup = IC2Setup(kappa=kappa, theta10=0.0, lambda_m=Sinusoid(mu, beta, 0.0))
+    expected = []
+    n = 1
+    while (tt := (0.0 + 2.0 * math.pi * n - 0.0) / beta) < t_end:
+        expected.append(tt)
+        n += 1
+    assert ic2_breakpoints(setup, t_end) == expected
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf])
+def test_ic2_breakpoints_refuses_a_non_finite_end(t_end):
+    # the touch loop never ended for these
+    with pytest.raises(ValueError, match="t_end must be finite"):
+        ic2_breakpoints(EDGE_START, t_end)
+
+
+def test_ic2_breakpoints_refuses_more_touches_than_the_step_budget():
+    # one touch a period: about 1.6e7 counted before any is built
+    setup = IC2Setup(kappa=1.0, theta10=0.0, lambda_m=Sinusoid(1e5, 1e6))
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="step budget"):
+        ic2_breakpoints(setup, 100.0)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(ConfigError, match="step budget"):
+        ic2_breakpoints(setup, 1e300)
+
+
 def test_ic2_breakpoints_constant_coupling():
     setup = IC2Setup(kappa=1.0, theta10=math.pi / 4, lambda_m=Constant(0.25))
     marks = ic2_breakpoints(setup, 3.0)
     assert len(marks) == 1
     # cos(2 theta) = cos(pi/2) - 0.5 t hits -1 at t = 2
     assert marks[0] == pytest.approx(2.0, abs=1e-12)
+    # a zero sinusoid is a zero constant; it was refused as neither kind
+    assert ic2_breakpoints(IC2Setup(1.0, 0.3, Sinusoid(0.0, 5.0)), 3.0) == []
 
 
 def test_ic2_kernel_coeffs_subspace_two_negates_diagonal():
@@ -458,7 +496,7 @@ def test_ic2_subspace_two_mirrors_subspace_one():
         kappa=0.1,
         theta10=math.pi / 4,
         lambda_m=Sinusoid(4.0, 50.0, math.pi / 50),
-        lambda_z=drive.negate(Constant(0.4)),
+        lambda_z=scale(-1.0, Constant(0.4)),
     )
     assert two == mirror
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import tensor_hamiltonian
-from spinpair.drive import Constant, Scaled, Sinusoid
+from spinpair.drive import Constant, Sinusoid, scale
 from spinpair.errors import ConfigError, NotStaticError
 from spinpair.model import (
     COUPLED_LABELS,
@@ -36,7 +36,7 @@ PARAM_SETS = [
     ),
     ModelParams(
         lambda_x=Sinusoid(2.0, 5.0, 0.3),
-        lambda_y=Scaled(-1.0, Sinusoid(2.0, 5.0, 0.3)),
+        lambda_y=scale(-1.0, Sinusoid(2.0, 5.0, 0.3)),
         lambda_z=Constant(0.0),
         omega_1=Sinusoid(1.0, 5.0, 0.3),
         omega_2=Sinusoid(1.0, 5.0, 0.3),
@@ -128,7 +128,7 @@ def test_from_derived_round_trip():
     wp = Sinusoid(2.0, 50.0, math.pi / 50)
     params = ModelParams.from_derived(
         omega_plus=wp,
-        lambda_m=Scaled(0.5, wp),
+        lambda_m=scale(0.5, wp),
         lambda_z=Constant(0.4),
     )
     for t in (0.0, 0.3, 1.9):

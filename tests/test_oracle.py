@@ -6,7 +6,7 @@ import pytest
 from conftest import tensor_hamiltonian
 from spinpair import _kernels
 from spinpair.config import build_ic1
-from spinpair.drive import Constant, Scaled, Sinusoid
+from spinpair.drive import Constant, Sinusoid
 from spinpair.errors import BranchExitError, ConfigError, NormDriftError
 from spinpair.exact import IC2Setup, ic1_evolve, ic2_breakpoints, ic2_kernel_coeffs
 from spinpair.model import ModelParams
@@ -342,16 +342,16 @@ def test_magnus_refuses_a_step_too_long_for_the_drives():
     with pytest.raises(ConfigError, match="norm bound"):
         magnus_full(edge, [1.0, 0.0, 0.0, 0.0], 1.0, IntegratorConfig(step=1.0 / 5.2))
     magnus_full(edge, [1.0, 0.0, 0.0, 0.0], 1.0, IntegratorConfig(step=0.99 / 5.2))
-    # finite profiles whose field overflows: inf - inf gives a NaN bound
-    nan = ModelParams(
-        lambda_x=Constant(0.0),
-        lambda_y=Constant(0.0),
+    # finite profiles whose bound overflows: hypot(1.7e308, 0.85e308) is inf
+    inf = ModelParams(
+        lambda_x=Constant(1.7e308),
+        lambda_y=Constant(-1.7e308),
         lambda_z=Constant(0.0),
-        omega_1=Scaled(1e308, Constant(1e308)),
-        omega_2=Scaled(-1e308, Constant(1e308)),
+        omega_1=Constant(1.7e308),
+        omega_2=Constant(1.7e308),
     )
-    with pytest.raises(ConfigError, match="norm bound nan"):
-        magnus_full(nan, [1.0, 0.0, 0.0, 0.0], 1.0, IntegratorConfig(step=1e-3))
+    with pytest.raises(ConfigError, match="norm bound inf"):
+        magnus_full(inf, [1.0, 0.0, 0.0, 0.0], 1.0, IntegratorConfig(step=1e-3))
 
 
 def test_magnus_refuses_a_run_over_the_step_budget():

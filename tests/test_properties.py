@@ -6,10 +6,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinpair.drive import Constant, Scaled, Sinusoid
+from spinpair.drive import Constant, Sinusoid, scale
+from spinpair.entangle import Basis, FourState, concurrence_pure
 from spinpair.exact import IC1Setup, PhaseConvention, ic1_evolve
 from spinpair.model import ModelParams
 from spinpair.oracle import IntegratorConfig, magnus_full
+from spinpair.symmetry import map_params_global_flip, map_state_global_flip
 
 T_END = 10.0
 # Magnus steps per unit of beta*t: each step spans at most 0.05 rad of the drive
@@ -42,8 +44,8 @@ def check_ic1_against_magnus(field, amp_plus, amp_minus, k, k2, lambda_z, t_end,
     params = ModelParams.from_derived(
         omega_plus=omega_plus,
         omega_minus=omega_minus,
-        lambda_m=Scaled(k, omega_plus),
-        lambda_p=Scaled(k2, omega_minus),
+        lambda_m=scale(k, omega_plus),
+        lambda_p=scale(k2, omega_minus),
         lambda_z=Constant(lambda_z),
     )
     setup = IC1Setup.from_ratios(k, k2)
@@ -115,3 +117,45 @@ def test_ic1_nonnegative_matches_magnus_while_the_splitting_keeps_its_sign(
     check_ic1_against_magnus(
         field, amp_plus, amp_minus, k, k2, lambda_z, t_end, beta, PhaseConvention.NONNEGATIVE
     )
+
+
+_PRIMITIVE = st.one_of(
+    st.builds(Constant, st.floats(-3.0, 3.0)),
+    st.builds(Sinusoid, st.floats(-3.0, 3.0), st.floats(0.5, 20.0), st.floats(-3.0, 3.0)),
+)
+_AMPLITUDE = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    profiles=st.tuples(*[_PRIMITIVE] * 5),
+    amplitudes=st.tuples(*[_AMPLITUDE] * 4).filter(lambda a: sum(abs(v) ** 2 for v in a) > 0.1),
+)
+def test_global_flip_commutes_with_magnus_and_keeps_concurrence(profiles, amplitudes):
+    # The flip negates both fields, so every block's field term changes
+    # sign and nothing else does: each Magnus step of the flipped run is
+    # the original step with |++> and |--> (and |+-> and |-+>) swapped,
+    # up to rounding.  So the runs may differ only by a few roundings per
+    # step (the 8*eps allowance of magnus_bound), whatever the drives.
+    params = ModelParams(*profiles)
+    norm = math.sqrt(sum(abs(v) ** 2 for v in amplitudes))
+    state = FourState(Basis.UNCOUPLED, tuple(v / norm for v in amplitudes))
+    flipped_state = map_state_global_flip(state)
+    t_end, step = 2.0, 0.01
+    times = np.linspace(0.0, t_end, 21)
+    cfg = IntegratorConfig(step=step)
+    trace = magnus_full(params, state.amplitudes, t_end, cfg, sample_times=times)
+    mirror = magnus_full(
+        map_params_global_flip(params), flipped_state.amplitudes, t_end, cfg, sample_times=times
+    )
+    steps = math.ceil(t_end / step) + times.size
+    tol = 8.0 * steps * np.finfo(float).eps
+    flipped_back = np.array([
+        map_state_global_flip(FourState(Basis.UNCOUPLED, tuple(row))).amplitudes
+        for row in mirror.amplitudes
+    ])
+    assert np.max(np.abs(flipped_back - trace.amplitudes)) <= tol
+    # C = 2|f_pp f_mm - f_pm f_mp| of unit-norm rows: two products of
+    # amplitudes each off by at most tol move C by at most 2*2*2*tol
+    change = np.abs(concurrence_pure(mirror.amplitudes) - concurrence_pure(trace.amplitudes))
+    assert np.max(change) <= 8.0 * tol

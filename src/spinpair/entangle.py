@@ -1,8 +1,9 @@
 """Concurrence of two-qubit states: general machinery and closed forms.
 
-The general mixed-state route follows the spin-flip construction
-``R = rho (sy x sy) rho* (sy x sy)`` evaluated through its Hermitian
-equivalent ``sqrt(rho) rho~ sqrt(rho)`` with ``numpy.linalg.eigh``.
+The general mixed-state route takes the square-rooted eigenvalues of
+``R = rho (sy x sy) rho* (sy x sy)`` as the singular values of
+``sqrt(rho) (sy x sy) sqrt(rho)*``: one ``numpy.linalg.eigh`` of rho,
+which also serves the density-matrix checks, and one ``svd``.
 Pure states get the direct quadratic formulas in either basis order,
 and the propagated amplitude pairs of the closed-form regimes get their
 fully reduced concurrence expressions.
@@ -39,6 +40,10 @@ _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _PSD_TOL = -1e-10
 _NORM_TOL = 1e-9
+# orthogonal and involutory: a coupled-order rho = V D V^H is (B V) D (B V)^H uncoupled
+_BASIS_CHANGE = basis_change_matrix()
+# (sy x sy) V is V with rows [1, 0, 3, 2] signed -, -, +, +: see spin_flip_matrix
+_FLIP_ROWS, _FLIP_SIGNS = np.array([1, 0, 3, 2]), np.array([[-1.0], [-1.0], [1.0], [1.0]])
 
 
 class Basis(Enum):
@@ -61,6 +66,8 @@ class FourState:
     amplitudes: tuple[complex, complex, complex, complex]
 
     def __post_init__(self):
+        if not isinstance(self.basis, Basis):
+            raise ValueError(f"basis must be a Basis member, got {self.basis!r}")
         amps = tuple(complex(a) for a in self.amplitudes)
         if len(amps) != 4:
             raise ValueError("a four-state needs exactly 4 amplitudes")
@@ -136,6 +143,8 @@ class DensityMatrix:
     basis: Basis = Basis.UNCOUPLED
 
     def __post_init__(self):
+        if not isinstance(self.basis, Basis):
+            raise InvalidDensityMatrixError(f"basis must be a Basis member, got {self.basis!r}")
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise InvalidDensityMatrixError(f"expected a 4x4 matrix, got {m.shape}")
@@ -148,28 +157,32 @@ class DensityMatrix:
 
     def validate(self) -> None:
         """Raise :class:`InvalidDensityMatrixError` on any broken invariant."""
-        m = self.matrix
-        if not np.all(np.isfinite(m)):
-            raise InvalidDensityMatrixError("matrix has non-finite entries")
-        if np.max(np.abs(m - m.conj().T)) > _HERMITICITY_TOL:
-            raise InvalidDensityMatrixError("matrix is not Hermitian within 1e-12")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > _TRACE_TOL or abs(np.trace(m).imag) > _TRACE_TOL:
-            raise InvalidDensityMatrixError(f"trace {np.trace(m)!r} is not 1 within 1e-12")
-        evals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-        if evals[0] < _PSD_TOL:
-            raise InvalidDensityMatrixError(
-                f"matrix has an eigenvalue {evals[0]!r} below {_PSD_TOL}"
-            )
+        _checked_eigh(self.matrix)
+
+
+def _checked_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the four density-matrix checks; returns eigh of the Hermitian part
+    if not np.isfinite(m).all():
+        raise InvalidDensityMatrixError("matrix has non-finite entries")
+    adj = m.conj().T
+    if abs(m - adj).max() > _HERMITICITY_TOL:
+        raise InvalidDensityMatrixError("matrix is not Hermitian within 1e-12")
+    tr = m.trace()
+    if abs(tr.real - 1.0) > _TRACE_TOL or abs(tr.imag) > _TRACE_TOL:
+        raise InvalidDensityMatrixError(f"trace {tr!r} is not 1 within 1e-12")
+    evals, vecs = np.linalg.eigh(0.5 * (m + adj))
+    if evals[0] < _PSD_TOL:
+        raise InvalidDensityMatrixError(f"matrix has an eigenvalue {evals[0]!r} below {_PSD_TOL}")
+    return evals, vecs
 
 
 def concurrence_wootters(rho: DensityMatrix) -> float:
     """Concurrence of a general (mixed) two-qubit state, in [0, 1].
 
-    Computes the descending square-rooted eigenvalues ``l1..l4`` of
-    ``rho (sy x sy) rho* (sy x sy)`` through the Hermitian similarity
-    ``sqrt(rho) rho~ sqrt(rho)`` and returns
-    ``max(l1 - l2 - l3 - l4, 0)``.
+    The descending square-rooted eigenvalues ``l1..l4`` of
+    ``rho (sy x sy) rho* (sy x sy)`` are the singular values of
+    ``sqrt(rho) (sy x sy) sqrt(rho)*``, which with ``rho = V D V^H`` are
+    those of ``sqrt(D) V^T (sy x sy) V sqrt(D)``; returns ``max(l1 - l2 - l3 - l4, 0)``.
 
     Raises
     ------
@@ -177,25 +190,12 @@ def concurrence_wootters(rho: DensityMatrix) -> float:
         If ``rho`` has non-finite entries or fails Hermiticity, trace or
         positivity checks.
     """
-    rho.validate()
-    m = rho.matrix
+    evals, vecs = _checked_eigh(rho.matrix)
     if rho.basis is Basis.COUPLED:
-        b = basis_change_matrix()
-        m = b @ m @ b
-    m = 0.5 * (m + m.conj().T)
-    evals, vecs = np.linalg.eigh(m)
-    root = (vecs * np.sqrt(np.maximum(evals, 0.0))) @ vecs.conj().T
-    y = spin_flip_matrix()
-    flipped = y @ m.conj() @ y
-    core = root @ flipped @ root
-    core = 0.5 * (core + core.conj().T)
-    evals2 = np.linalg.eigvalsh(core)
-    # rank floor: eigenvalues within roundoff of zero would otherwise
-    # contribute sqrt(noise) ~ 1e-8 for (nearly) pure inputs
-    floor = 1e-13 * max(max(evals2), 0.0)
-    lam = sorted((math.sqrt(ev) if ev > floor else 0.0 for ev in evals2), reverse=True)
-    c = lam[0] - lam[1] - lam[2] - lam[3]
-    return min(max(c, 0.0), 1.0)
+        vecs = _BASIS_CHANGE @ vecs
+    scaled = vecs * np.sqrt(np.maximum(evals, 0.0))
+    lam = np.linalg.svd(scaled.T @ (_FLIP_SIGNS * scaled[_FLIP_ROWS]), compute_uv=False)
+    return min(max(float(lam[0] - lam[1] - lam[2] - lam[3]), 0.0), 1.0)
 
 
 def _mixing_pair(u: complex, v: complex, theta0: float) -> tuple[complex, complex]:

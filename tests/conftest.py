@@ -1,7 +1,11 @@
-"""Shared fixtures, CSV helpers, a reference quadrature and a reference Hamiltonian."""
+"""Shared fixtures, CSV helpers and references: quadrature, Hamiltonian, Wootters."""
+
+import math
 
 import numpy as np
 import pytest
+
+from spinpair.errors import InvalidDensityMatrixError
 
 
 def read_csv(path):
@@ -70,6 +74,40 @@ def quadrature(f, t0, t1, tol=1e-10, max_depth=50):
     fm = f(0.5 * (t0 + t1))
     whole = simpson(t0, fa, t1, fb, fm)
     return recurse(t0, fa, t1, fb, fm, whole, tol, max_depth)
+
+
+def wootters_reference(m, coupled=False):
+    """Wootters concurrence by three 4x4 decompositions, after the density-matrix checks.
+
+    The earlier form of :func:`spinpair.entangle.concurrence_wootters`,
+    kept as its reference: ``eigvalsh`` for positivity, ``eigh`` for
+    ``sqrt(rho)``, ``eigvalsh`` on ``sqrt(rho) rho~ sqrt(rho)``, and a
+    rank floor on the last.  ``coupled`` marks a coupled-order ``m``.
+    Raises ``InvalidDensityMatrixError`` with the library's messages.
+    """
+    if not np.all(np.isfinite(m)):
+        raise InvalidDensityMatrixError("matrix has non-finite entries")
+    if np.max(np.abs(m - m.conj().T)) > 1e-12:
+        raise InvalidDensityMatrixError("matrix is not Hermitian within 1e-12")
+    tr = np.trace(m).real
+    if abs(tr - 1.0) > 1e-12 or abs(np.trace(m).imag) > 1e-12:
+        raise InvalidDensityMatrixError(f"trace {np.trace(m)!r} is not 1 within 1e-12")
+    evals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    if evals[0] < -1e-10:
+        raise InvalidDensityMatrixError(f"matrix has an eigenvalue {evals[0]!r} below {-1e-10}")
+    if coupled:
+        r = math.sqrt(0.5)
+        b = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, r, r], [0, 0, r, -r]], dtype=complex)
+        m = b @ m @ b
+    m = 0.5 * (m + m.conj().T)
+    evals, vecs = np.linalg.eigh(m)
+    root = (vecs * np.sqrt(np.maximum(evals, 0.0))) @ vecs.conj().T
+    y = np.kron(SY, SY)[np.ix_(PERM, PERM)]
+    core = root @ (y @ m.conj() @ y) @ root
+    evals2 = np.linalg.eigvalsh(0.5 * (core + core.conj().T))
+    floor = 1e-13 * max(max(evals2), 0.0)
+    lam = sorted((math.sqrt(ev) if ev > floor else 0.0 for ev in evals2), reverse=True)
+    return min(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0), 1.0)
 
 
 @pytest.fixture

@@ -1,9 +1,11 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
+from conftest import wootters_reference
 from spinpair.drive import Sinusoid
 from spinpair.entangle import (
     Basis,
@@ -33,8 +35,8 @@ def random_pure(rng):
     return FourState.uncoupled(*f)
 
 
-def random_unitary2(rng):
-    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+def random_unitary(rng, n):
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(m)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
@@ -46,6 +48,10 @@ def test_four_state_validation():
         FourState.uncoupled(1.0, 1.0, 0.0, 0.0)
     state = FourState.uncoupled(R2, R2, 0.0, 0.0)
     assert state.basis is Basis.UNCOUPLED
+    # a string is no Basis member: it was read as the other order, which
+    # gave this product state concurrence 0.5
+    with pytest.raises(ValueError, match="Basis member"):
+        FourState("uncoupled", (R2, 0.0, R2, 0.0))
 
 
 def test_known_concurrences():
@@ -88,7 +94,7 @@ def test_concurrence_local_unitary_invariance(rng):
     inv = np.argsort(PERM)
     for _ in range(10):
         state = random_pure(rng)
-        u = np.kron(random_unitary2(rng), random_unitary2(rng))
+        u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
         rotated = (u @ state.as_array()[inv])[PERM]
         after = FourState.uncoupled(*rotated)
         assert concurrence_pure(after) == pytest.approx(concurrence_pure(state), abs=1e-12)
@@ -99,6 +105,8 @@ def test_concurrence_local_unitary_invariance(rng):
 def test_density_matrix_validation():
     with pytest.raises(InvalidDensityMatrixError):
         DensityMatrix(np.eye(3))
+    with pytest.raises(InvalidDensityMatrixError, match="Basis member"):
+        DensityMatrix(np.eye(4) / 4.0, "coupled")
     bad_herm = np.eye(4, dtype=complex) / 4.0
     bad_herm[0, 1] = 0.1
     with pytest.raises(InvalidDensityMatrixError):
@@ -146,10 +154,128 @@ def test_wootters_werner_states(p, expected):
     assert concurrence_wootters(rho) == pytest.approx(expected, abs=1e-9)
 
 
+# --- parity with the three-decomposition reference ---------------------------
+
+def with_spectrum(rng, spectrum):
+    u = random_unitary(rng, 4)
+    m = (u * spectrum) @ u.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+def werner_rotated(rng):
+    # p|Bell><Bell| + (1 - p) I/4 after local unitaries, built in tensor order
+    bell = np.zeros(4, dtype=complex)
+    bell[[0, 3]] = R2
+    p = rng.uniform()
+    rho = p * np.outer(bell, bell) + (1.0 - p) * np.eye(4) / 4.0
+    u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+    return (u @ rho @ u.conj().T)[np.ix_(PERM, PERM)]
+
+
+FAMILIES = {
+    "werner": werner_rotated,
+    "full_rank": lambda rng: with_spectrum(rng, rng.dirichlet(np.ones(4))),
+    "rank_1": lambda rng: with_spectrum(rng, np.array([1.0, 0.0, 0.0, 0.0])),
+    "rank_2": lambda rng: with_spectrum(rng, np.r_[rng.dirichlet(np.ones(2)), 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("basis", list(Basis))
+def test_wootters_matches_three_decomposition_reference(rng, family, basis):
+    for _ in range(200):
+        m = FAMILIES[family](rng)
+        got = concurrence_wootters(DensityMatrix(m, basis))
+        assert got == pytest.approx(wootters_reference(m, basis is Basis.COUPLED), abs=1e-12)
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_wootters_of_a_slightly_negative_matrix_is_that_of_its_positive_part(rng, basis):
+    # Smallest eigenvalue -1e-11: accepted, and the concurrence is that of
+    # the positive part V max(D, 0) V^H.  That part has trace 1 + 1e-11 and
+    # the l_i scale with rho, so the reference is taken at unit trace.
+    # On rho itself the reference pairs the clamped sqrt(rho) with the
+    # unclamped rho, which moves each eigenvalue of its core by at most
+    # 1e-11 * max(D) (Weyl), so each l_i by at most sqrt(1e-11) and C by
+    # four times that; its rank floor can drop an l_i up to sqrt(1e-13).
+    coupled = basis is Basis.COUPLED
+    for rank in (1, 3):
+        for _ in range(100):
+            d = np.r_[rng.dirichlet(np.ones(rank)), np.zeros(4 - rank)]
+            d[:rank] *= 1.0 + 1e-11
+            d[3] = -1e-11
+            m = with_spectrum(rng, d)
+            evals, vecs = np.linalg.eigh(m)
+            positive = (vecs * np.maximum(evals, 0.0)) @ vecs.conj().T
+            tr = np.trace(positive).real
+            got = concurrence_wootters(DensityMatrix(m, basis))
+            want = min(1.0, tr * wootters_reference(positive / tr, coupled))
+            assert got == pytest.approx(want, abs=1e-12)
+            bound = 4.0 * (math.sqrt(1e-11) + math.sqrt(1e-13))
+            assert got == pytest.approx(wootters_reference(m, coupled), abs=bound)
+
+
+def refusal(call):
+    try:
+        call()
+    except InvalidDensityMatrixError as exc:
+        return str(exc)
+    raise AssertionError("accepted")
+
+
+def bad_matrices():
+    eye = np.eye(4, dtype=complex) / 4.0
+    nan, inf, herm, trace = eye.copy(), eye.copy(), eye.copy(), eye * 1.01
+    nan[1, 2] = np.nan
+    inf[3, 3] = np.inf
+    herm[0, 1] = 0.1
+    imag_trace = eye + np.diag([1e-9j, 0, 0, 0])
+    negative = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
+    tiny_negative = np.diag([0.5, 0.5 + 2e-10, -2e-10, 0.0]).astype(complex)
+    return [nan, inf, herm, trace, imag_trace, negative, tiny_negative]
+
+
+@pytest.mark.parametrize("index", range(len(bad_matrices())))
+@pytest.mark.parametrize("basis", list(Basis))
+def test_refusals_match_the_reference(index, basis):
+    m = bad_matrices()[index]
+    want = refusal(lambda: wootters_reference(m, basis is Basis.COUPLED))
+    rho = DensityMatrix(m, basis)
+    assert refusal(rho.validate) == want
+    assert refusal(lambda: concurrence_wootters(rho)) == want
+
+
+def test_rotated_negative_refusal_reports_the_eigenvalue(rng):
+    # eigvalsh and eigh may round the smallest eigenvalue apart by an ulp
+    # or two; the refusal and its wording are the same
+    for _ in range(50):
+        m = with_spectrum(rng, np.array([0.7, 0.4, 0.1, -0.2]))
+        want = refusal(lambda: wootters_reference(m))
+        got = refusal(lambda: concurrence_wootters(DensityMatrix(m)))
+        pattern = r"matrix has an eigenvalue np\.float64\((.*)\) below -1e-10"
+        got_value, want_value = re.fullmatch(pattern, got)[1], re.fullmatch(pattern, want)[1]
+        assert float(got_value) == pytest.approx(float(want_value), abs=1e-15)
+
+
+def test_wootters_decomposes_once(monkeypatch):
+    # one eigh serves the checks and sqrt(rho); one svd gives the l_i
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda *a, _f=real, _n=name, **k: calls.append(_n) or _f(*a, **k)
+        )
+    bell = np.array([R2, R2, 0.0, 0.0], dtype=complex)
+    for basis in Basis:
+        calls.clear()
+        concurrence_wootters(DensityMatrix(0.5 * np.outer(bell, bell) + 0.5 * np.eye(4) / 4.0, basis))
+        assert calls == ["eigh", "svd"]
+
+
 # --- assembled evolutions ----------------------------------------------------
 
 def synthetic_pairs(rng, theta0):
-    u = random_unitary2(rng)
+    u = random_unitary(rng, 2)
     c0, s0 = math.cos(theta0), math.sin(theta0)
     x = u @ np.array([c0, s0])
     y = u @ np.array([-s0, c0])

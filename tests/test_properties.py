@@ -6,12 +6,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tensor_hamiltonian
+from spinpair import drive
 from spinpair.drive import Constant, Sinusoid, scale
 from spinpair.entangle import Basis, FourState, concurrence_pure
 from spinpair.exact import IC1Setup, PhaseConvention, ic1_evolve
-from spinpair.model import ModelParams
+from spinpair.model import ModelParams, block
 from spinpair.oracle import IntegratorConfig, magnus_full
-from spinpair.symmetry import map_params_global_flip, map_state_global_flip
+from spinpair.symmetry import (
+    map_params_global_flip,
+    map_params_I_to_II,
+    map_state_global_flip,
+    map_state_I_to_II,
+)
 
 T_END = 10.0
 # Magnus steps per unit of beta*t: each step spans at most 0.05 rad of the drive
@@ -159,3 +166,42 @@ def test_global_flip_commutes_with_magnus_and_keeps_concurrence(profiles, amplit
     # amplitudes each off by at most tol move C by at most 2*2*2*tol
     change = np.abs(concurrence_pure(mirror.amplitudes) - concurrence_pure(trace.amplitudes))
     assert np.max(change) <= 8.0 * tol
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    profiles=st.tuples(*[_PRIMITIVE] * 5),
+    amplitudes=st.tuples(*[_AMPLITUDE] * 4).filter(lambda a: sum(abs(v) ** 2 for v in a) > 0.1),
+)
+def test_subspace_swap_commutes_with_magnus(profiles, amplitudes):
+    # map_params_I_to_II negates lambda_y, lambda_z and omega_2 exactly,
+    # which hands each block the other's field, coupling and diagonal:
+    # each Magnus step of the mapped run is the original step of the other
+    # block, with the swapped state.  So the runs may differ only by a few
+    # roundings per step (the 8*eps allowance of magnus_bound).
+    params = ModelParams(*profiles)
+    mapped = map_params_I_to_II(params)
+    # magnus_full reads block II through the map too, so first tie the
+    # map to the spin-operator Hamiltonian: its block I is the original
+    # block II, within the roundings of the five summed terms
+    for t in (0.0, 0.7, 1.9):
+        values = [drive.evaluate(p, t) for p in profiles]
+        want = tensor_hamiltonian(*values)[2:, 2:]
+        bound = 8.0 * np.finfo(float).eps * max(1.0, *map(abs, values))
+        assert np.max(np.abs(block(mapped, t) - want)) <= bound
+    norm = math.sqrt(sum(abs(v) ** 2 for v in amplitudes))
+    state = FourState(Basis.UNCOUPLED, tuple(v / norm for v in amplitudes))
+    t_end, step = 2.0, 0.01
+    times = np.linspace(0.0, t_end, 21)
+    cfg = IntegratorConfig(step=step)
+    trace = magnus_full(params, state.amplitudes, t_end, cfg, sample_times=times)
+    mirror = magnus_full(
+        mapped, map_state_I_to_II(state).amplitudes, t_end, cfg, sample_times=times
+    )
+    steps = math.ceil(t_end / step) + times.size
+    tol = 8.0 * steps * np.finfo(float).eps
+    swapped_back = np.array([
+        map_state_I_to_II(FourState(Basis.UNCOUPLED, tuple(row))).amplitudes
+        for row in mirror.amplitudes
+    ])
+    assert np.max(np.abs(swapped_back - trace.amplitudes)) <= tol

@@ -42,8 +42,6 @@ _PSD_TOL = -1e-10
 _NORM_TOL = 1e-9
 # orthogonal and involutory: a coupled-order rho = V D V^H is (B V) D (B V)^H uncoupled
 _BASIS_CHANGE = basis_change_matrix()
-# (sy x sy) V is V with rows [1, 0, 3, 2] signed -, -, +, +: see spin_flip_matrix
-_FLIP_ROWS, _FLIP_SIGNS = np.array([1, 0, 3, 2]), np.array([[-1.0], [-1.0], [1.0], [1.0]])
 
 
 class Basis(Enum):
@@ -119,15 +117,11 @@ def concurrence_pure(state: FourState | np.ndarray) -> float | np.ndarray:
 
 def spin_flip_matrix() -> np.ndarray:
     """``sigma_y x sigma_y`` in the uncoupled amplitude order."""
-    return np.array(
-        [
-            [0.0, -1.0, 0.0, 0.0],
-            [-1.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ],
-        dtype=complex,
-    )
+    rows = [[0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    return np.array(rows, dtype=complex)
+
+
+_FLIP = spin_flip_matrix()
 
 
 @dataclass(frozen=True)
@@ -194,7 +188,7 @@ def concurrence_wootters(rho: DensityMatrix) -> float:
     if rho.basis is Basis.COUPLED:
         vecs = _BASIS_CHANGE @ vecs
     scaled = vecs * np.sqrt(np.maximum(evals, 0.0))
-    lam = np.linalg.svd(scaled.T @ (_FLIP_SIGNS * scaled[_FLIP_ROWS]), compute_uv=False)
+    lam = np.linalg.svd(scaled.T @ (_FLIP @ scaled), compute_uv=False)
     return min(max(float(lam[0] - lam[1] - lam[2] - lam[3]), 0.0), 1.0)
 
 

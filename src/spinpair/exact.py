@@ -514,7 +514,7 @@ def ic2_breakpoints(setup: IC2Setup, t_end: float) -> list[float]:
     if t_end <= 0.0:
         return []
     c0 = math.cos(2.0 * setup.theta10)
-    out: list[np.ndarray] = []
+    out: list[float] = []
     sinus = _coupling_sinusoid(profile)
     if sinus is not None:
         mu, beta, phi = sinus
@@ -547,14 +547,10 @@ def ic2_breakpoints(setup: IC2Setup, t_end: float) -> list[float]:
                 f"t_end, over the step budget of {_MAX_STEPS:.0e}; shorten the run"
             )
         for branch, n0, n_end in runs:
-            tt = np.arange(n0, math.floor(n_end), dtype=float)
-            # the same arithmetic per n as one scalar at a time, in place;
-            # it never decreases with n, so (0, t_end) is one slice
-            tt *= 2.0 * math.pi
-            tt += branch
-            tt -= phi
-            tt /= beta
-            out.append(tt[np.searchsorted(tt, 0.0, "right") : np.searchsorted(tt, t_end)])
+            n = np.arange(n0, math.floor(n_end), dtype=float)
+            # the same arithmetic per n as one scalar at a time
+            tt = (branch + 2.0 * math.pi * n - phi) / beta
+            out.extend(tt[(tt > 0.0) & (tt < t_end)].tolist())
     else:
         # a constant, or a zero-amplitude sinusoid whose offset is 0;
         # a speed that underflows to 0 never reaches an edge
@@ -563,19 +559,13 @@ def ic2_breakpoints(setup: IC2Setup, t_end: float) -> list[float]:
             for edge in (1.0, -1.0):
                 tt = (c0 - edge) / speed
                 if 0.0 < tt < t_end:
-                    out.append(np.array([tt]))
-    # keep a time more than 1e-12*max(1, t) after the last kept one; a
-    # time that far from its predecessor is always kept, so only the
-    # close ones need the last kept time, found one at a time in order.
-    # The pieces are sorted runs, which the stable sort merges.
-    times = np.sort(np.concatenate(out or [np.empty(0)]), kind="stable")
-    keep = np.diff(times, prepend=-math.inf) > 1e-12 * np.maximum(1.0, times)
-    last = 0
-    for i in np.flatnonzero(~keep).tolist():
-        if keep[i - 1]:
-            last = i - 1
-        keep[i] = times[i] - times[last] > 1e-12 * max(1.0, times[i])
-    return times[keep].tolist()
+                    out.append(tt)
+    out.sort()
+    deduped: list[float] = []
+    for tt in out:
+        if not deduped or tt - deduped[-1] > 1e-12 * max(1.0, tt):
+            deduped.append(tt)
+    return deduped
 
 
 def ic2_kernel_coeffs(setup: IC2Setup) -> tuple[float, ...]:

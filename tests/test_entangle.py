@@ -252,7 +252,8 @@ def test_rotated_negative_refusal_reports_the_eigenvalue(rng):
         m = with_spectrum(rng, np.array([0.7, 0.4, 0.1, -0.2]))
         want = refusal(lambda: wootters_reference(m))
         got = refusal(lambda: concurrence_wootters(DensityMatrix(m)))
-        pattern = r"matrix has an eigenvalue np\.float64\((.*)\) below -1e-10"
+        # NumPy 2 shows the value as np.float64(...), NumPy 1 bare
+        pattern = r"matrix has an eigenvalue (?:np\.float64\()?([^()\s]+?)\)? below -1e-10"
         got_value, want_value = re.fullmatch(pattern, got)[1], re.fullmatch(pattern, want)[1]
         assert float(got_value) == pytest.approx(float(want_value), abs=1e-15)
 

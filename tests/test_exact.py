@@ -432,45 +432,6 @@ def test_ic2_breakpoints_equal_one_touch_at_a_time(kappa, mu, beta, t_end):
     assert ic2_breakpoints(setup, t_end) == expected
 
 
-def scalar_breakpoints(kappa, theta10, mu, beta, phi, t_end):
-    """ic2_breakpoints' touch times one scalar at a time, deduped by the scalar loop."""
-    c0 = math.cos(2.0 * theta10)
-    scale_ = beta / (2.0 * kappa * mu)
-    raw = []
-    for edge in (1.0, -1.0):
-        target = math.cos(phi) + (0.0 if edge == c0 else (edge - c0) * scale_)
-        if abs(target) > 1.0 + 1e-12:
-            continue
-        base = math.acos(max(-1.0, min(1.0, target)))
-        for branch in {base, -base}:
-            n = math.floor((phi - branch) / (2.0 * math.pi))
-            while (tt := (branch + 2.0 * math.pi * n - phi) / beta) < t_end:
-                if tt > 0.0:
-                    raw.append(tt)
-                n += 1
-    raw.sort()
-    kept = []
-    for tt in raw:
-        if not kept or tt - kept[-1] > 1e-12 * max(1.0, tt):
-            kept.append(tt)
-    return kept
-
-
-@pytest.mark.parametrize("kappa,theta10,mu,beta,phi,t_end", [
-    # both edges round to one target: every touch comes twice
-    (1.0, 0.3, 1e17, 1.0, 0.7, 300.0),
-    # theta10 = 0 touches at beta*t = 2*pi*n and the other edge a few
-    # 1e-11 either side: three apart for t < 15, a kept third after a
-    # dropped middle for 15 < t < 30, one of three beyond
-    (1.0, 0.0, 1e3 * 2.0**53, 1e3, 0.0, 100.0),
-    (0.37, 0.2, 7.3, 29.0, -1.1, 40.0),
-])
-def test_ic2_breakpoints_dedupe_equals_the_scalar_loop(kappa, theta10, mu, beta, phi, t_end):
-    setup = IC2Setup(kappa=kappa, theta10=theta10, lambda_m=Sinusoid(mu, beta, phi))
-    expected = scalar_breakpoints(kappa, theta10, mu, beta, phi, t_end)
-    assert ic2_breakpoints(setup, t_end) == expected
-
-
 @pytest.mark.parametrize("t_end", [math.nan, math.inf])
 def test_ic2_breakpoints_refuses_a_non_finite_end(t_end):
     # the touch loop never ended for these

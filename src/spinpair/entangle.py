@@ -163,10 +163,12 @@ def _checked_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidDensityMatrixError("matrix is not Hermitian within 1e-12")
     tr = m.trace()
     if abs(tr.real - 1.0) > _TRACE_TOL or abs(tr.imag) > _TRACE_TOL:
-        raise InvalidDensityMatrixError(f"trace {tr!r} is not 1 within 1e-12")
+        raise InvalidDensityMatrixError(f"trace {complex(tr)!r} is not 1 within 1e-12")
     evals, vecs = np.linalg.eigh(0.5 * (m + adj))
     if evals[0] < _PSD_TOL:
-        raise InvalidDensityMatrixError(f"matrix has an eigenvalue {evals[0]!r} below {_PSD_TOL}")
+        raise InvalidDensityMatrixError(
+            f"matrix has an eigenvalue {float(evals[0])!r} below {_PSD_TOL}"
+        )
     return evals, vecs
 
 
@@ -235,71 +237,60 @@ def concurrence_generic(
     return 2.0 * abs(val)
 
 
-def concurrence_ic1(kind: str, theta10: float, j_phase: float) -> float:
+def concurrence_ic1(kind: str, theta10: float, j_phase: float | np.ndarray) -> float | np.ndarray:
     """Closed-form concurrence under proportional drive.
 
     ``j_phase`` is the accumulated splitting phase (the integral of the
-    subspace-I gap).  ``kind`` selects the initial state: ``"pp"``
-    (``|++>``), ``"mm"`` (``|-->``), ``"bell_s"``/``"bell_a"`` (the
-    symmetric/antisymmetric equal superpositions).
+    subspace-I gap), a float or an array; the result is shaped like it.
+    ``kind`` selects the initial state: ``"pp"`` (``|++>``), ``"mm"``
+    (``|-->``), ``"bell_s"``/``"bell_a"`` (the symmetric/antisymmetric
+    equal superpositions).
     """
     s2 = math.sin(2.0 * theta10)
     c2 = math.cos(2.0 * theta10)
-    sj = math.sin(j_phase)
-    s2j = math.sin(2.0 * j_phase)
-    c2j = math.cos(2.0 * j_phase)
-    if kind == "pp":
-        return abs(complex(-2.0 * s2 * c2 * sj * sj, -s2 * s2j))
-    if kind == "mm":
-        return abs(complex(2.0 * s2 * c2 * sj * sj, -s2 * s2j))
-    if kind == "bell_s":
-        return abs(complex(s2 * s2 * c2j + c2 * c2, -s2 * s2j))
-    if kind == "bell_a":
-        return abs(complex(-s2 * s2 * c2j - c2 * c2, -s2 * s2j))
+    j = np.asarray(j_phase, dtype=float)
+    sj = np.sin(j)
+    im = -s2 * np.sin(2.0 * j)
+    # each mirrored pair differs only in the sign of the real part
+    if kind in ("pp", "mm"):
+        return np.hypot(2.0 * s2 * c2 * sj * sj, im)
+    if kind in ("bell_s", "bell_a"):
+        return np.hypot(s2 * s2 * np.cos(2.0 * j) + c2 * c2, im)
     raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
 
 
-def _ic2_products(setup: IC2Setup, t: float) -> tuple[float, float, float]:
-    # the three real sub-expressions Re(x1 x2), Im(x1 x2) and
-    # x1 y2 + y1 x2, with the common diagonal phase factored out
-    kappa = setup.kappa
-    theta1 = ic2_theta(setup, t)
-    delta = (theta1 - setup.theta10) * math.sqrt(1.0 + kappa**-2)
-    one_k2 = 1.0 + kappa * kappa
-    kbar = abs(kappa) / math.sqrt(one_k2)
-    s2t = math.sin(2.0 * theta1)
-    c2t = math.cos(2.0 * theta1)
-    s2d = math.sin(2.0 * delta)
-    c2d = math.cos(2.0 * delta)
-    sd = math.sin(delta)
-    cd = math.cos(delta)
-    re = 0.5 * s2t * c2d - 0.5 * kbar * s2d * c2t
-    im = kappa * sd * sd * c2t / one_k2 - 0.5 * math.copysign(1.0, kappa) * s2t * s2d / math.sqrt(one_k2)
-    cross = kbar * s2t * s2d + cd * cd * c2t + sd * sd * c2t * (1.0 - kappa * kappa) / one_k2
-    return re, im, cross
-
-
-def concurrence_ic2(kind: str, setup: IC2Setup, t: float) -> float:
+def concurrence_ic2(kind: str, setup: IC2Setup, t: float | np.ndarray) -> float | np.ndarray:
     """Closed-form concurrence under rate-matched drive (subspace I).
 
-    Combines the reduced sub-expressions of the propagated pair
-    products; ``kind`` selects the initial state as in
-    :func:`concurrence_ic1`.
+    Combines the reduced sub-expressions ``Re(x1 x2)``, ``Im(x1 x2)``
+    and ``x1 y2 + y1 x2`` of the propagated pair products, with the
+    common diagonal phase factored out; ``kind`` selects the initial
+    state as in :func:`concurrence_ic1`.  ``t`` is a float or an array
+    of times; the result is shaped like it.
 
     Raises
     ------
     BranchExitError
         Propagated from the angle evaluation on inadmissible setups.
     """
-    re, im, cross = _ic2_products(setup, t)
+    kappa = setup.kappa
+    theta1 = ic2_theta(setup, t)
+    delta = (theta1 - setup.theta10) * math.sqrt(1.0 + kappa**-2)
+    one_k2 = 1.0 + kappa * kappa
+    kbar = abs(kappa) / math.sqrt(one_k2)
+    s2t = np.sin(2.0 * theta1)
+    c2t = np.cos(2.0 * theta1)
+    s2d = np.sin(2.0 * delta)
+    sd = np.sin(delta)
+    cd = np.cos(delta)
+    re = 0.5 * s2t * np.cos(2.0 * delta) - 0.5 * kbar * s2d * c2t
+    im = kappa * sd * sd * c2t / one_k2 - 0.5 * math.copysign(1.0, kappa) * s2t * s2d / math.sqrt(one_k2)
+    cross = kbar * s2t * s2d + cd * cd * c2t + sd * sd * c2t * (1.0 - kappa * kappa) / one_k2
     s2 = math.sin(2.0 * setup.theta10)
     c2 = math.cos(2.0 * setup.theta10)
-    if kind == "pp":
-        return abs(complex(2.0 * c2 * re - s2 * cross, 2.0 * im))
-    if kind == "mm":
-        return abs(complex(-2.0 * c2 * re + s2 * cross, 2.0 * im))
-    if kind == "bell_s":
-        return abs(complex(2.0 * s2 * re + c2 * cross, 2.0 * im))
-    if kind == "bell_a":
-        return abs(complex(-2.0 * s2 * re - c2 * cross, 2.0 * im))
+    # each mirrored pair differs only in the sign of the real part
+    if kind in ("pp", "mm"):
+        return np.hypot(2.0 * c2 * re - s2 * cross, 2.0 * im)
+    if kind in ("bell_s", "bell_a"):
+        return np.hypot(2.0 * s2 * re + c2 * cross, 2.0 * im)
     raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")

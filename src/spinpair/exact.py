@@ -485,13 +485,8 @@ def ic2_derived_field(setup: IC2Setup, t: float) -> float:
     ConfigError
         If the coupling is not a pure sinusoid.
     """
-    sinus = _coupling_sinusoid(setup.lambda_m)
-    if sinus is None:
-        raise ConfigError("derived field requires a pure sinusoidal coupling")
-    mu, beta, phi = sinus
-    c0 = math.cos(2.0 * setup.theta10)
     # the same scalar helper integrate_block_ic2's RK4 steps with
-    return _ic2_field(mu, beta, phi, setup.kappa, c0, 1.0 - c0, t)
+    return _ic2_field(*ic2_kernel_coeffs(setup)[:6], t)
 
 
 def ic2_breakpoints(setup: IC2Setup, t_end: float) -> list[float]:
@@ -583,7 +578,7 @@ def ic2_kernel_coeffs(setup: IC2Setup) -> tuple[float, ...]:
     """
     sinus = _coupling_sinusoid(setup.lambda_m)
     if sinus is None:
-        raise ConfigError("kernel coefficients require a pure sinusoidal coupling")
+        raise ConfigError("the rate-matched coupling must be a pure sinusoid")
     mu, beta, phi = sinus
     c0 = math.cos(2.0 * setup.theta10)
     amp, freq, phase, offset = drive.single_term(setup.lambda_z)

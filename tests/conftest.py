@@ -91,10 +91,12 @@ def wootters_reference(m, coupled=False):
         raise InvalidDensityMatrixError("matrix is not Hermitian within 1e-12")
     tr = np.trace(m).real
     if abs(tr - 1.0) > 1e-12 or abs(np.trace(m).imag) > 1e-12:
-        raise InvalidDensityMatrixError(f"trace {np.trace(m)!r} is not 1 within 1e-12")
+        raise InvalidDensityMatrixError(f"trace {complex(np.trace(m))!r} is not 1 within 1e-12")
     evals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
     if evals[0] < -1e-10:
-        raise InvalidDensityMatrixError(f"matrix has an eigenvalue {evals[0]!r} below {-1e-10}")
+        raise InvalidDensityMatrixError(
+            f"matrix has an eigenvalue {float(evals[0])!r} below {-1e-10}"
+        )
     if coupled:
         r = math.sqrt(0.5)
         b = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, r, r], [0, 0, r, -r]], dtype=complex)

@@ -326,8 +326,9 @@ def test_ic2_subspace_two_matches_rk4_of_its_own_block():
         z = -lz / 4.0
         return ((w + z, lp), (lp, -w + z))
 
-    cfg_rk4 = IntegratorConfig(step=1e-3, norm_tolerance=1e-8)
+    cfg_rk4 = IntegratorConfig(step=1e-3)
     rk4 = integrate_block_fn(hfun, cfg.initial[2:], 2.0, cfg_rk4, sample_times=trace.times)
+    assert rk4.norm_drift <= 1e-8
     assert np.max(np.abs(rk4.amplitudes - trace.amplitudes[:, 2:])) < 1e-8
 
 

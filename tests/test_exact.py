@@ -336,7 +336,7 @@ def test_ic2_matches_rate_matched_kernel(setup, t_end, initial):
     marks = ic2_breakpoints(setup, t_end)
     coeffs = ic2_kernel_coeffs(setup)
     times = [0.2 * t_end, 0.5 * t_end, t_end]
-    cfg = IntegratorConfig(step=1e-4, norm_tolerance=1e-6)
+    cfg = IntegratorConfig(step=1e-4)
     trace = integrate_block_ic2(coeffs, start, t_end, cfg, sample_times=times, breakpoints=marks)
     for t, row in zip(trace.times, trace.amplitudes):
         amps = ic2_evolve(setup, t, initial)
@@ -355,7 +355,7 @@ def test_ic2_matches_generic_integrator_on_smooth_drive():
         return ((w, l), (l, -w))
 
     start = (math.cos(setup.theta10), math.sin(setup.theta10))
-    cfg = IntegratorConfig(step=1e-4, norm_tolerance=1e-6)
+    cfg = IntegratorConfig(step=1e-4)
     trace = integrate_block_fn(hfun, start, 1.0, cfg, sample_times=[0.5, 1.0])
     for t, row in zip(trace.times, trace.amplitudes):
         amps = ic2_evolve(setup, t, "phi1")
@@ -387,6 +387,13 @@ def test_ic2_derived_field_outside_branch_raises():
     bad = IC2Setup(kappa=1.0, theta10=math.pi / 4, lambda_m=Sinusoid(4.0, 10.0))
     with pytest.raises(BranchExitError):
         ic2_derived_field(bad, math.pi / 10.0)
+
+
+def test_ic2_derived_field_refuses_a_constant_coupling():
+    flat = IC2Setup(kappa=0.1, theta10=0.3, lambda_m=Constant(2.0))
+    for call in (lambda: ic2_derived_field(flat, 0.1), lambda: ic2_kernel_coeffs(flat)):
+        with pytest.raises(ConfigError, match="^the rate-matched coupling must be a pure sinusoid$"):
+            call()
 
 
 def test_ic2_breakpoints_edge_start():

@@ -109,7 +109,7 @@ def test_integrate_full_is_the_two_blocks():
 
 
 def test_norm_drift_error_with_coarse_step():
-    cfg = IntegratorConfig(step=0.5, norm_tolerance=1e-10)
+    cfg = IntegratorConfig(step=0.5)
     with pytest.raises(NormDriftError):
         integrate_full(DRIVEN, [1.0, 0.0, 0.0, 0.0], 10.0, cfg)
 
@@ -134,10 +134,6 @@ def test_integrator_config_validation():
         IntegratorConfig(step=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(step=math.nan)
-    with pytest.raises(ValueError):
-        IntegratorConfig(step=1e-3, norm_tolerance=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(step=1e-3, norm_tolerance=math.nan)
 
 
 @pytest.mark.parametrize(
@@ -179,7 +175,7 @@ def test_integrate_block_ic2_runs_and_conserves_norm():
     setup = IC2Setup(kappa=0.1, theta10=math.pi / 4, lambda_m=Sinusoid(4.0, 50.0, math.pi / 50))
     coeffs = ic2_kernel_coeffs(setup)
     marks = ic2_breakpoints(setup, 1.0)
-    cfg = IntegratorConfig(step=2e-4, norm_tolerance=1e-8)
+    cfg = IntegratorConfig(step=2e-4)
     trace = integrate_block_ic2(
         coeffs, [1.0, 0.0], 1.0, cfg, sample_times=[0.0, 0.5, 1.0], breakpoints=marks
     )

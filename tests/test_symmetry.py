@@ -120,7 +120,7 @@ def test_rate_matched_entanglement_mirror(theta10):
     lm = Sinusoid(4.0, 50.0, math.pi / 50)
     setup = IC2Setup(kappa=0.1, theta10=theta10, lambda_m=lm)
     mirror = IC2Setup(kappa=-0.1, theta10=0.5 * math.pi - theta10, lambda_m=lm)
-    for t in np.linspace(0.0, 1.0, 21):
-        assert concurrence_ic2("mm", setup, t) == pytest.approx(
-            concurrence_ic2("pp", mirror, t), abs=1e-9
-        )
+    t = np.linspace(0.0, 1.0, 21)
+    assert concurrence_ic2("mm", setup, t) == pytest.approx(
+        concurrence_ic2("pp", mirror, t), abs=1e-9
+    )

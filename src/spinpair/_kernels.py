@@ -6,7 +6,7 @@ the closed forms and on the Magnus kernel, so it is kept small and
 obvious rather than fast.  The Magnus kernel is numeric mode's
 production path and works on whole arrays of steps.
 
-Drive coefficients are "two-term" tuples
+RK4 reads drive coefficients as "two-term" tuples
 ``(a1, b1, p1, a2, b2, p2, off)`` encoding
 ``a1*sin(b1*t + p1) + a2*sin(b2*t + p2) + off``, which represents every
 derived drive combination exactly.
@@ -100,14 +100,6 @@ def _ic2_field(mu, beta, phi, kappa, cos2t0, big_a, t):
     return mu * math.sin(beta * t + phi) * cth / math.sqrt(s2)
 
 
-def _two_term_array(c, base, t):
-    v = np.full(t.shape, c[base + 6])
-    for k in (base, base + 3):
-        if c[k] != 0.0:
-            v += c[k] * np.sin(c[k + 1] * t + c[k + 2])
-    return v
-
-
 def _compose(la, lb, ea, eb):
     """(alpha, beta) of U_later @ U_earlier, each U = [[alpha, -conj(beta)], [beta, conj(alpha)]]."""
     return la * ea - np.conj(lb) * eb, lb * ea + np.conj(la) * eb
@@ -145,10 +137,11 @@ def _prefix_products(al, be):
         d *= 2
 
 
-def magnus_block_profiles(c, y1, y2, events, counts):
+def magnus_block_profiles(values, y1, y2, events, counts):
     """States of a 2-amplitude block at every event time, by Magnus-4 steps.
 
-    c: the 21 floats of :meth:`spinpair.model.ModelParams.block_terms`.
+    ``values(t)`` gives the block's (field, coupling, z) on an array of
+    times, as :meth:`spinpair.model.ModelParams.block_values` does.
     ``events`` is a float array and ``counts`` an integer array: the
     segment from events[k] to events[k + 1] is split into counts[k]
     equal steps, as in the RK4 march.  Each step is the closed-form exponential of the
@@ -180,13 +173,12 @@ def magnus_block_profiles(c, y1, y2, events, counts):
         start = events[seg] + (step - (ends[seg] - counts[seg])) * h
         ta = start + (0.5 - _GAUSS) * h
         tb = start + (0.5 + _GAUSS) * h
-        wa, wb = _two_term_array(c, 0, ta), _two_term_array(c, 0, tb)
-        la, lb = _two_term_array(c, 7, ta), _two_term_array(c, 7, tb)
+        wa, la, za = values(ta)
+        wb, lb, zb = values(tb)
         ax = 0.5 * h * (la + lb)
         ay = -_GAUSS * h * h * (lb * wa - wb * la)
         az = 0.5 * h * (wa + wb)
-        # h/2 * (z(ta) + z(tb)) with z a quarter of the third drive
-        phi = 0.125 * h * (_two_term_array(c, 14, ta) + _two_term_array(c, 14, tb))
+        phi = 0.5 * h * (za + zb)
         phase[seg[0] : seg[-1] + 1] += np.bincount(seg - seg[0], weights=phi)
         theta = np.sqrt(ax * ax + ay * ay + az * az)
         s = np.sinc(theta / np.pi)

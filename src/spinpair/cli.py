@@ -172,7 +172,7 @@ def _superpose(
     return amps
 
 
-def _trace_ic1(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
+def _trace_ic1(cfg: RunConfig, times: np.ndarray, echo: dict) -> EvolutionTrace:
     setup, params, convention = cfg.setup
     mixtures = _eigen_mixtures(cfg, setup.theta10, setup.theta20)
     names = (("phi1", "phi2"), ("phi3", "phi4"))
@@ -181,10 +181,10 @@ def _trace_ic1(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
         mixtures,
         lambda block, j: ic1_evolve(setup, params, times, names[block][j], convention),
     )
-    return _finish(times, amps, copy.deepcopy(cfg.data), _ANALYTIC_NORM_TOL)
+    return _finish(times, amps, echo, _ANALYTIC_NORM_TOL)
 
 
-def _trace_ic2(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
+def _trace_ic2(cfg: RunConfig, times: np.ndarray, echo: dict) -> EvolutionTrace:
     one, two = cfg.setup
     mixtures = _eigen_mixtures(cfg, one.theta10, two.theta10 if two else 0.0)
     for pair, block in ((mixtures[:2], one), (mixtures[2:], two)):
@@ -198,20 +198,20 @@ def _trace_ic2(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
     amps = _superpose(
         times, mixtures, lambda block, j: ic2_evolve((one, two)[block], times, ("phi1", "phi2")[j])
     )
-    return _finish(times, amps, copy.deepcopy(cfg.data), _ANALYTIC_NORM_TOL)
+    return _finish(times, amps, echo, _ANALYTIC_NORM_TOL)
 
 
-def _trace_rwa(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
+def _trace_rwa(cfg: RunConfig, times: np.ndarray, echo: dict) -> EvolutionTrace:
     setup = cfg.setup
     mixtures = _eigen_mixtures(cfg, setup.theta10, 0.0)
     if mixtures[2] != 0 or mixtures[3] != 0:
         raise ConfigError("rwa mode supports subspace-I initial states only")
     evolve = (rwa_evolve, rwa_orthogonal)
     amps = _superpose(times, mixtures, lambda _block, j: evolve[j](setup, times))
-    return _finish(times, amps, copy.deepcopy(cfg.data), _ANALYTIC_NORM_TOL)
+    return _finish(times, amps, echo, _ANALYTIC_NORM_TOL)
 
 
-def _trace_perturbation(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
+def _trace_perturbation(cfg: RunConfig, times: np.ndarray, echo: dict) -> EvolutionTrace:
     omega_plus, drive_profile = cfg.setup
     if cfg.initial != "pp":
         raise ConfigError("perturbation mode requires initial_state: pp")
@@ -219,10 +219,10 @@ def _trace_perturbation(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
     amps[:, 0] = perturb_x1(omega_plus, times)
     amps[:, 1] = perturb_x2(omega_plus, drive_profile, times)
     # first-order amplitudes are not unitary; norm is reported, not checked
-    return _finish(times, amps, copy.deepcopy(cfg.data), None)
+    return _finish(times, amps, echo, None)
 
 
-def _trace_numeric(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
+def _trace_numeric(cfg: RunConfig, times: np.ndarray, echo: dict) -> EvolutionTrace:
     params, step = cfg.setup
     if step is None:
         step = suggest_step(params, cfg.t_end)
@@ -232,7 +232,6 @@ def _trace_numeric(cfg: RunConfig, times: np.ndarray) -> EvolutionTrace:
     trace = magnus_full(
         params, initial, cfg.t_end, IntegratorConfig(step=step), sample_times=times
     )
-    echo = copy.deepcopy(cfg.data)
     echo["numeric"]["step"] = float(step)
     return _finish(trace.times, trace.amplitudes, echo, None)
 
@@ -250,15 +249,16 @@ def compute_trace(cfg: RunConfig) -> EvolutionTrace:
         inequality.
     """
     times = np.linspace(0.0, cfg.t_end, cfg.samples)
+    echo = copy.deepcopy(cfg.data)
     if cfg.mode == "ic1":
-        return _trace_ic1(cfg, times)
+        return _trace_ic1(cfg, times, echo)
     if cfg.mode == "ic2":
-        return _trace_ic2(cfg, times)
+        return _trace_ic2(cfg, times, echo)
     if cfg.mode == "rwa":
-        return _trace_rwa(cfg, times)
+        return _trace_rwa(cfg, times, echo)
     if cfg.mode == "perturbation":
-        return _trace_perturbation(cfg, times)
-    return _trace_numeric(cfg, times)
+        return _trace_perturbation(cfg, times, echo)
+    return _trace_numeric(cfg, times, echo)
 
 
 def dominant_frequency(times: Sequence[float], values: Sequence[float]) -> float:

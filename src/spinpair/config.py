@@ -17,7 +17,9 @@ Drive profiles are written as ``{kind: constant, value: v}``,
 optional) or ``{kind: scaled, factor: k, base: <profile>}``, which is
 folded into a constant or a sinusoid when parsed; a bare number is
 shorthand for a constant.  Unknown keys anywhere are errors: configs
-are meant to reproduce exactly or fail loudly.
+are meant to reproduce exactly or fail loudly.  Every section is read by
+one rule (``_section``): it must be a mapping, an unknown key is named
+in the error, and so is the first required key left out.
 """
 
 from __future__ import annotations
@@ -73,6 +75,10 @@ _NAMED_AMPLITUDES = {
 }
 NAMED_STATES = tuple(_NAMED_AMPLITUDES)
 
+# numeric mode's two profile key sets, in the order they are parsed
+_PRIMITIVE = ("lambda_x", "lambda_y", "lambda_z", "omega_1", "omega_2")
+_DERIVED = ("lambda_m", "lambda_p", "lambda_z", "omega_minus", "omega_plus")
+
 _STATE_NORM_TOL = 1e-9
 # samples one run may take: the oracle's step budget, and a CSV of about 2 GB
 _MAX_SAMPLES = 10**7
@@ -125,18 +131,26 @@ def _require_mapping(node: Any, where: str) -> dict:
     return node
 
 
-def _check_keys(node: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(node) - allowed)
+def _section(node: Any, where: str, keys: dict[str, Any]) -> list:
+    """The values of a mapping's ``keys`` in order, each its default when left out.
+
+    The node must be a mapping with no key outside ``keys``; a key whose
+    default is ``...`` is required.
+    """
+    mapping = _require_mapping(node, where)
+    # key=str: YAML keys may be numbers, which do not sort with strings
+    unknown = sorted(set(mapping) - keys.keys(), key=str)
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
-
-
-def _number(node: dict, key: str, where: str, default: Any = ...) -> float:
-    if key not in node:
-        if default is ...:
+    values = []
+    for key, default in keys.items():
+        if key in mapping:
+            values.append(mapping[key])
+        elif default is ...:
             raise ConfigError(f"missing key {key!r} in {where}")
-        return default
-    return _finite(node[key], f"{where}.{key}")
+        else:
+            values.append(default)
+    return values
 
 
 def _finite(v: Any, where: str) -> float:
@@ -153,28 +167,23 @@ def parse_profile(node: Any, where: str) -> DriveProfile:
         raise ConfigError(f"{where} must be a profile or number, got {node!r}")
     if isinstance(node, (int, float)):
         return Constant(_finite(node, where))
-    mapping = _require_mapping(node, where)
-    kind = mapping.get("kind")
+    kind = _require_mapping(node, where).get("kind")
     if kind == "constant":
-        _check_keys(mapping, {"kind", "value"}, where)
-        return Constant(_number(mapping, "value", where))
+        _, value = _section(node, where, {"kind": kind, "value": ...})
+        return Constant(_finite(value, f"{where}.value"))
     if kind == "sinusoid":
-        _check_keys(mapping, {"kind", "amplitude", "frequency", "phase"}, where)
-        freq = _number(mapping, "frequency", where)
+        keys = {"kind": kind, "frequency": ..., "amplitude": ..., "phase": 0.0}
+        _, freq, amplitude, phase = _section(node, where, keys)
+        freq = _finite(freq, f"{where}.frequency")
         if freq == 0.0:
             raise ConfigError(f"{where}.frequency must be nonzero")
-        return Sinusoid(
-            _number(mapping, "amplitude", where),
-            freq,
-            _number(mapping, "phase", where, 0.0),
-        )
+        amplitude = _finite(amplitude, f"{where}.amplitude")
+        return Sinusoid(amplitude, freq, _finite(phase, f"{where}.phase"))
     if kind == "scaled":
-        _check_keys(mapping, {"kind", "factor", "base"}, where)
-        if "base" not in mapping:
-            raise ConfigError(f"missing key 'base' in {where}")
-        factor = _number(mapping, "factor", where)
+        _, base, factor = _section(node, where, {"kind": kind, "base": ..., "factor": ...})
+        factor = _finite(factor, f"{where}.factor")
         try:
-            return scale(factor, parse_profile(mapping["base"], f"{where}.base"))
+            return scale(factor, parse_profile(base, f"{where}.base"))
         except ValueError:
             raise ConfigError(f"{where}: factor {factor!r} times its base overflows") from None
     raise ConfigError(
@@ -207,12 +216,9 @@ def _parse_initial(node: Any) -> Any:
 
 
 def _parse_sweep(node: Any) -> SweepSpec:
-    mapping = _require_mapping(node, "sweep")
-    _check_keys(mapping, {"parameter", "values"}, "sweep")
-    parameter = mapping.get("parameter")
+    parameter, values = _section(node, "sweep", {"parameter": None, "values": None})
     if not isinstance(parameter, str) or not parameter:
         raise ConfigError("sweep.parameter must be a nonempty dotted path string")
-    values = mapping.get("values")
     if not isinstance(values, list) or not values:
         raise ConfigError("sweep.values must be a nonempty list of numbers")
     out = [_finite(v, "sweep.values entries") for v in values]
@@ -232,27 +238,24 @@ def parse_config(data: Any, name: str) -> RunConfig:
     mode = mapping.get("mode")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    _check_keys(mapping, {"mode", "initial_state", "time", "name", "sweep", mode}, "config")
-    if "initial_state" not in mapping:
-        raise ConfigError("missing key 'initial_state' in config")
-    initial = _parse_initial(mapping["initial_state"])
-    time_node = _require_mapping(mapping.get("time"), "time")
-    _check_keys(time_node, {"t_end", "samples"}, "time")
-    t_end = _number(time_node, "t_end", "time")
+    keys = {"mode": ..., "initial_state": ..., "time": None, "name": name, "sweep": None,
+            mode: None}
+    _, initial, time_node, cfg_name, sweep_node, section = _section(mapping, "config", keys)
+    initial = _parse_initial(initial)
+    t_end, samples = _section(time_node, "time", {"t_end": ..., "samples": None})
+    t_end = _finite(t_end, "time.t_end")
     if t_end <= 0.0:
         raise ConfigError("time.t_end must be positive")
-    samples_raw = time_node.get("samples")
-    if isinstance(samples_raw, bool) or not isinstance(samples_raw, int):
+    if isinstance(samples, bool) or not isinstance(samples, int):
         raise ConfigError("time.samples must be an integer")
-    if not 2 <= samples_raw <= _MAX_SAMPLES:
+    if not 2 <= samples <= _MAX_SAMPLES:
         raise ConfigError(f"time.samples must lie in [2, {_MAX_SAMPLES}]")
     if mode not in mapping:
         raise ConfigError(f"missing section {mode!r} for mode {mode!r}")
-    cfg_name = mapping.get("name", name)
     if not isinstance(cfg_name, str) or not cfg_name:
         raise ConfigError("name must be a nonempty string")
-    sweep = _parse_sweep(mapping["sweep"]) if "sweep" in mapping else None
-    setup = _BUILDERS[mode](mapping[mode])
+    sweep = _parse_sweep(sweep_node) if "sweep" in mapping else None
+    setup = _BUILDERS[mode](section)
     if sweep is not None:
         # the path must resolve against this very config and take every value
         node, leaf = _sweep_leaf(mapping, sweep.parameter)
@@ -270,7 +273,7 @@ def parse_config(data: Any, name: str) -> RunConfig:
         mode=mode,
         initial=initial,
         t_end=t_end,
-        samples=samples_raw,
+        samples=samples,
         sweep=sweep,
         data=mapping,
         setup=setup,
@@ -353,24 +356,19 @@ def build_ic1(section: Any) -> tuple[IC1Setup, ModelParams, PhaseConvention]:
     ``lambda_p = k2*omega_minus``, so the proportionality holds by
     construction.
     """
-    mapping = _require_mapping(section, "ic1")
-    _check_keys(
-        mapping,
-        {"k", "omega_plus", "k2", "omega_minus", "lambda_z", "phase_convention"},
-        "ic1",
-    )
-    k = _number(mapping, "k", "ic1")
-    k2 = _number(mapping, "k2", "ic1", 0.0)
+    keys = {"k": ..., "omega_plus": ..., "k2": 0.0, "omega_minus": 0.0, "lambda_z": 0.0,
+            "phase_convention": "signed"}
+    k, omega_plus, k2, omega_minus, lambda_z, conv_raw = _section(section, "ic1", keys)
+    k = _finite(k, "ic1.k")
+    k2 = _finite(k2, "ic1.k2")
     try:
         setup = IC1Setup.from_ratios(k, k2)
     except ValueError as exc:
         # |k| near 1e16 and above: tan(2*theta10) cannot reproduce k
         raise ConfigError(f"ic1: {exc}") from None
-    if "omega_plus" not in mapping:
-        raise ConfigError("missing key 'omega_plus' in ic1")
-    omega_plus = parse_profile(mapping["omega_plus"], "ic1.omega_plus")
-    omega_minus = parse_profile(mapping.get("omega_minus", 0.0), "ic1.omega_minus")
-    lambda_z = parse_profile(mapping.get("lambda_z", 0.0), "ic1.lambda_z")
+    omega_plus = parse_profile(omega_plus, "ic1.omega_plus")
+    omega_minus = parse_profile(omega_minus, "ic1.omega_minus")
+    lambda_z = parse_profile(lambda_z, "ic1.lambda_z")
     try:
         params = ModelParams.from_derived(
             omega_plus=omega_plus,
@@ -381,7 +379,6 @@ def build_ic1(section: Any) -> tuple[IC1Setup, ModelParams, PhaseConvention]:
         )
     except ValueError:
         raise ConfigError("ic1: k*omega_plus or k2*omega_minus overflows") from None
-    conv_raw = mapping.get("phase_convention", "signed")
     try:
         convention = PhaseConvention(conv_raw)
     except ValueError:
@@ -400,21 +397,16 @@ def build_ic2(section: Any) -> tuple[IC2Setup, IC2Setup | None]:
     ``IC2Setup(chi, theta20, lambda_p, -lambda_z)``; it is ``None``
     when ``chi`` is 0 (absent), which leaves subspace II unused.
     """
-    mapping = _require_mapping(section, "ic2")
-    _check_keys(
-        mapping,
-        {"kappa", "theta10", "lambda_m", "lambda_z", "chi", "theta20", "lambda_p"},
-        "ic2",
-    )
-    if "lambda_m" not in mapping:
-        raise ConfigError("missing key 'lambda_m' in ic2")
-    kappa = _number(mapping, "kappa", "ic2")
-    theta10 = _number(mapping, "theta10", "ic2")
-    lambda_m = parse_profile(mapping["lambda_m"], "ic2.lambda_m")
-    lambda_z = parse_profile(mapping.get("lambda_z", 0.0), "ic2.lambda_z")
-    chi = _number(mapping, "chi", "ic2", 0.0)
-    theta20 = _number(mapping, "theta20", "ic2", 0.0)
-    lambda_p = parse_profile(mapping.get("lambda_p", 0.0), "ic2.lambda_p")
+    keys = {"lambda_m": ..., "kappa": ..., "theta10": ..., "lambda_z": 0.0, "chi": 0.0,
+            "theta20": 0.0, "lambda_p": 0.0}
+    lambda_m, kappa, theta10, lambda_z, chi, theta20, lambda_p = _section(section, "ic2", keys)
+    kappa = _finite(kappa, "ic2.kappa")
+    theta10 = _finite(theta10, "ic2.theta10")
+    lambda_m = parse_profile(lambda_m, "ic2.lambda_m")
+    lambda_z = parse_profile(lambda_z, "ic2.lambda_z")
+    chi = _finite(chi, "ic2.chi")
+    theta20 = _finite(theta20, "ic2.theta20")
+    lambda_p = parse_profile(lambda_p, "ic2.lambda_p")
     try:
         one = IC2Setup(kappa, theta10, lambda_m, lambda_z)
     except ValueError as exc:
@@ -433,27 +425,24 @@ def build_rwa(section: Any) -> RwaSetup:
     Keys: ``mode`` (``lambda_drive``/``field_drive``), ``static_value``,
     ``drive`` (sinusoid profile), ``theta10``, optional ``lambda_z``.
     """
-    mapping = _require_mapping(section, "rwa")
-    _check_keys(mapping, {"mode", "static_value", "drive", "theta10", "lambda_z"}, "rwa")
-    mode_raw = mapping.get("mode")
+    keys = {"mode": None, "drive": ..., "static_value": ..., "theta10": ..., "lambda_z": 0.0}
+    mode_raw, drive, static_value, theta10, lambda_z = _section(section, "rwa", keys)
     try:
         mode = RwaMode(mode_raw)
     except ValueError:
         raise ConfigError(
             f"rwa.mode must be 'lambda_drive' or 'field_drive', got {mode_raw!r}"
         ) from None
-    if "drive" not in mapping:
-        raise ConfigError("missing key 'drive' in rwa")
-    drive = parse_profile(mapping["drive"], "rwa.drive")
+    drive = parse_profile(drive, "rwa.drive")
     if not isinstance(drive, Sinusoid):
         raise ConfigError("rwa.drive must be a sinusoid profile")
     try:
         return RwaSetup(
             mode=mode,
-            static_value=_number(mapping, "static_value", "rwa"),
+            static_value=_finite(static_value, "rwa.static_value"),
             drive=drive,
-            theta10=_number(mapping, "theta10", "rwa"),
-            lambda_z=parse_profile(mapping.get("lambda_z", 0.0), "rwa.lambda_z"),
+            theta10=_finite(theta10, "rwa.theta10"),
+            lambda_z=parse_profile(lambda_z, "rwa.lambda_z"),
         )
     except ValueError as exc:
         raise ConfigError(f"rwa: {exc}") from None
@@ -461,12 +450,9 @@ def build_rwa(section: Any) -> RwaSetup:
 
 def build_perturbation(section: Any) -> tuple[float, Sinusoid]:
     """Perturbative section: static ``omega_plus`` plus a zero-phase sinusoid."""
-    mapping = _require_mapping(section, "perturbation")
-    _check_keys(mapping, {"omega_plus", "drive"}, "perturbation")
-    omega_plus = _number(mapping, "omega_plus", "perturbation")
-    if "drive" not in mapping:
-        raise ConfigError("missing key 'drive' in perturbation")
-    drive = parse_profile(mapping["drive"], "perturbation.drive")
+    omega_plus, drive = _section(section, "perturbation", {"omega_plus": ..., "drive": ...})
+    omega_plus = _finite(omega_plus, "perturbation.omega_plus")
+    drive = parse_profile(drive, "perturbation.drive")
     if not isinstance(drive, Sinusoid):
         raise ConfigError("perturbation.drive must be a sinusoid profile")
     if drive.phase != 0.0:
@@ -483,39 +469,23 @@ def build_numeric(section: Any) -> tuple[ModelParams, float | None]:
     ``lambda_z``; omitted means zero).  Optional ``step`` sets the
     integrator step (default: :func:`spinpair.oracle.suggest_step`).
     """
-    mapping = _require_mapping(section, "numeric")
-    step = None
-    if "step" in mapping:
-        step = _number(mapping, "step", "numeric")
+    keys = set(_require_mapping(section, "numeric")) - {"step"}
+    primitive = bool(keys & {"lambda_x", "lambda_y", "omega_1", "omega_2"})
+    if primitive and keys - set(_PRIMITIVE):
+        raise ConfigError(
+            "numeric mixes primitive and derived profile keys; "
+            "use lambda_x/lambda_y/lambda_z/omega_1/omega_2 only"
+        )
+    names = _PRIMITIVE if primitive else _DERIVED
+    # every primitive profile is required; a derived one left out is zero
+    defaults = dict.fromkeys(names, ... if primitive else 0.0)
+    *nodes, step = _section(section, "numeric", defaults | {"step": None})
+    profiles = {key: parse_profile(node, f"numeric.{key}") for key, node in zip(names, nodes)}
+    if "step" in section:
+        step = _finite(step, "numeric.step")
         if step <= 0.0:
             raise ConfigError("numeric.step must be positive")
-    keys = set(mapping) - {"step"}
-    primitive = {"lambda_x", "lambda_y", "lambda_z", "omega_1", "omega_2"}
-    derived = {"omega_plus", "omega_minus", "lambda_m", "lambda_p", "lambda_z"}
-    if keys & {"lambda_x", "lambda_y", "omega_1", "omega_2"}:
-        if keys - primitive:
-            raise ConfigError(
-                "numeric mixes primitive and derived profile keys; "
-                "use lambda_x/lambda_y/lambda_z/omega_1/omega_2 only"
-            )
-        missing = sorted(primitive - keys)
-        if missing:
-            raise ConfigError(f"missing key {missing[0]!r} in numeric")
-        params = ModelParams(
-            lambda_x=parse_profile(mapping["lambda_x"], "numeric.lambda_x"),
-            lambda_y=parse_profile(mapping["lambda_y"], "numeric.lambda_y"),
-            lambda_z=parse_profile(mapping["lambda_z"], "numeric.lambda_z"),
-            omega_1=parse_profile(mapping["omega_1"], "numeric.omega_1"),
-            omega_2=parse_profile(mapping["omega_2"], "numeric.omega_2"),
-        )
-        return params, step
-    unknown = sorted(keys - derived)
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in numeric")
-    kwargs = {
-        key: parse_profile(mapping[key], f"numeric.{key}") for key in sorted(keys)
-    }
-    return ModelParams.from_derived(**kwargs), step
+    return (ModelParams if primitive else ModelParams.from_derived)(**profiles), step
 
 
 _BUILDERS = {

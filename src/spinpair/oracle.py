@@ -43,6 +43,9 @@ _MAX_STEPS = 10**7
 # step times the Hamiltonian norm bound that magnus_full accepts: inside
 # the Magnus convergence radius pi
 _MAX_STEP_NORM = 1.0
+# the same product for the default step: half the accepted one, so the
+# default is never refused; the Magnus-4 error falls about 16x per halving
+_DEFAULT_STEP_NORM = 0.5
 # largest |squared norm - initial squared norm| a run may end with
 _NORM_TOL = 1e-6
 
@@ -77,11 +80,20 @@ class Trace:
 
 
 def suggest_step(params: ModelParams, t_end: float) -> float:
-    """Default step: shortest drive period / 200; t_end/2000 for static drives."""
+    """Default step: shortest drive period / 200; t_end/2000 for static drives.
+
+    Capped at 0.5 over the Hamiltonian norm bound, so :func:`magnus_full`
+    accepts it.  A bound that is not finite and positive leaves the step
+    as it is, for :func:`magnus_full` to judge.
+    """
     freqs = params.all_frequencies()
-    if freqs:
-        return (2.0 * math.pi / max(freqs)) / 200.0
-    return t_end / 2000.0
+    # t_end / 2000 is 0 for t_end below about 1e-320: then one step, exact
+    # for static drives
+    step = (2.0 * math.pi / max(freqs)) / 200.0 if freqs else (t_end / 2000.0 or t_end)
+    bound = _norm_bound(params)
+    if 0.0 < bound < math.inf:
+        step = min(step, _DEFAULT_STEP_NORM / bound)
+    return step
 
 
 def _event_grid(
@@ -286,16 +298,19 @@ def integrate_block_ic2(
     return _march([deriv], initial, t_end, cfg, sample_times, breakpoints)
 
 
-def _norm_bound(coeffs: Sequence[float]) -> float:
-    """Bound of the spectral norm of a block over all t, from its kernel vector.
+def _norm_bound(params: ModelParams) -> float:
+    """Bound of the spectral norm of either block over all t.
 
-    |z| + hypot(field, coupling), with each two-term drive bounded by the
-    sum of its amplitudes and offset.
+    |z| + hypot(field, coupling) per block, with each two-term drive of
+    :meth:`ModelParams.block_terms` bounded by the sum of its amplitudes
+    and offset.
     """
-    field, coupling, diag = (
-        sum(abs(coeffs[base + k]) for k in (0, 3, 6)) for base in (0, 7, 14)
-    )
-    return math.hypot(field, coupling) + 0.25 * diag
+    bounds = []
+    for c in (params.block_terms(), map_params_I_to_II(params).block_terms()):
+        field, coupling, diag = (sum(abs(c[base + k]) for k in (0, 3, 6)) for base in (0, 7, 14))
+        bounds.append(math.hypot(field, coupling) + 0.25 * diag)
+    # np.max, not max(): a NaN bound must stick
+    return float(np.max(bounds))
 
 
 def magnus_full(
@@ -322,9 +337,7 @@ def magnus_full(
     NormDriftError
         If the squared norm drifts by more than 1e-6 (NaN included).
     """
-    blocks = (params.block_terms(), map_params_I_to_II(params).block_terms())
-    # np.max, not max(): a NaN bound must stick
-    bound = float(np.max([_norm_bound(c) for c in blocks]))
+    bound = _norm_bound(params)
     # written so that a NaN product is refused too
     if not cfg.step * bound < _MAX_STEP_NORM:
         raise ConfigError(
@@ -335,8 +348,10 @@ def magnus_full(
     counts = _step_counts(events, cfg.step)
     y = [complex(v) for v in initial]
     amps = np.empty((events.size, 4), dtype=complex)
-    amps[:, 0], amps[:, 1] = _kernels.magnus_block_profiles(blocks[0], y[0], y[1], events, counts)
-    amps[:, 2], amps[:, 3] = _kernels.magnus_block_profiles(blocks[1], y[2], y[3], events, counts)
+    for k, block in enumerate((params, map_params_I_to_II(params))):
+        amps[:, 2 * k], amps[:, 2 * k + 1] = _kernels.magnus_block_profiles(
+            block.block_values, y[2 * k], y[2 * k + 1], events, counts
+        )
     out = amps[is_sample]
     drift = _drift(out, y)
     _check_drift(drift)

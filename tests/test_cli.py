@@ -451,7 +451,26 @@ def test_overflowing_drive_fails_the_norm_check():
 def test_main_numeric_nan_amplitudes_exit_2(tmp_path, capsys):
     # the RK4 steps overflowed to NaN; this wrote a CSV of nan and exited 0.
     # Magnus steps would stay unitary, so the step check refuses the run.
-    # PyYAML reads 1.0e150 (no exponent sign) as a string, so 1.0e+150
+    # PyYAML reads 1.0e150 (no exponent sign) as a string, so 1.0e+150;
+    # the step is the drive period / 200
+    path = tmp_path / "huge.yaml"
+    path.write_text(
+        "mode: numeric\n"
+        "initial_state: pp\n"
+        "time: {t_end: 1.0, samples: 11}\n"
+        "numeric:\n"
+        "  omega_plus: {kind: sinusoid, amplitude: 1.0e+150, frequency: 3.0}\n"
+        "  step: 0.010471975511965976\n",
+        encoding="utf-8",
+    )
+    outdir = tmp_path / "out"
+    assert main(["run", str(path), "--output", str(outdir)]) == 2
+    assert "times the Hamiltonian norm bound" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_main_numeric_default_step_for_huge_amplitudes_exit_2(tmp_path, capsys):
+    # the default step is capped by the norm bound, and so needs 2e150 steps
     path = tmp_path / "huge.yaml"
     path.write_text(
         "mode: numeric\n"
@@ -463,8 +482,25 @@ def test_main_numeric_nan_amplitudes_exit_2(tmp_path, capsys):
     )
     outdir = tmp_path / "out"
     assert main(["run", str(path), "--output", str(outdir)]) == 2
-    assert "times the Hamiltonian norm bound" in capsys.readouterr().err
+    assert "step budget" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("t_end, section", [
+    (20.0, {"omega_plus": {"kind": "sinusoid", "amplitude": 40.0, "frequency": 1.0},
+            "lambda_m": {"kind": "sinusoid", "amplitude": 3.0, "frequency": 0.5}}),
+    (100.0, {"omega_plus": 20.0, "lambda_m": 20.0}),
+])
+def test_main_numeric_default_step_is_accepted(tmp_path, t_end, section):
+    # period / 200 and t_end / 2000 were both refused by the norm-bound check
+    path = write_yaml(tmp_path, "strong", {
+        "mode": "numeric",
+        "initial_state": "pp",
+        "time": {"t_end": t_end, "samples": 101},
+        "numeric": section,
+    })
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "strong.csv").exists()
 
 
 def test_main_numeric_over_step_budget_exit_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import pytest
@@ -385,6 +386,79 @@ def test_build_numeric_derived():
 def test_build_numeric_rejects(section):
     with pytest.raises(ConfigError):
         build_numeric(section)
+
+
+# --- key errors of every section ----------------------------------------------
+
+PRIMITIVE = {"lambda_x": 1.0, "lambda_y": 0.5, "lambda_z": 0.2, "omega_1": 2.0, "omega_2": 1.0}
+# (mode, path of the node, its name in messages, node put there or None to
+# keep the mode's section, the node's required keys)
+KEYED_NODES = [
+    ("ic1", (), "config", None, ("initial_state",)),
+    ("ic1", ("time",), "time", None, ("t_end",)),
+    ("ic1", ("sweep",), "sweep", {"parameter": "ic1.k", "values": [0.5, 0.6]}, ()),
+    ("ic1", ("ic1", "omega_plus"), "ic1.omega_plus", {"kind": "constant", "value": 1.0},
+     ("value",)),
+    ("ic1", ("ic1", "omega_plus"), "ic1.omega_plus", dict(SINUSOID_NODE),
+     ("amplitude", "frequency")),
+    ("ic1", ("ic1", "omega_plus"), "ic1.omega_plus",
+     {"kind": "scaled", "factor": 2.0, "base": 1.0}, ("factor", "base")),
+    ("ic1", ("ic1",), "ic1", None, ("k", "omega_plus")),
+    ("ic2", ("ic2",), "ic2", None, ("kappa", "theta10", "lambda_m")),
+    ("rwa", ("rwa",), "rwa", None, ("static_value", "drive", "theta10")),
+    ("perturbation", ("perturbation",), "perturbation", None, ("omega_plus", "drive")),
+    ("numeric", ("numeric",), "numeric", None, ()),
+    ("numeric", ("numeric",), "numeric", dict(PRIMITIVE), tuple(PRIMITIVE)),
+]
+
+
+def keyed_config(mode, path, node):
+    """A valid config of ``mode`` with ``node`` at ``path``, and the node there."""
+    data = {
+        "mode": mode,
+        "initial_state": "pp",
+        "time": {"t_end": 1.0, "samples": 11},
+        mode: copy.deepcopy(SECTIONS[mode]),
+    }
+    holder = data
+    for part in path[:-1]:
+        holder = holder[part]
+    if node is not None:
+        holder[path[-1]] = copy.deepcopy(node)
+    parse_config(data, "stem")
+    return data, holder[path[-1]] if path else data
+
+
+# a primitive numeric section refuses any other key as a mix of the key sets
+@pytest.mark.parametrize("mode, path, where, node", [
+    case[:4] for case in KEYED_NODES if case[3] != PRIMITIVE
+])
+def test_unknown_key_is_named_with_its_section(mode, path, where, node):
+    data, target = keyed_config(mode, path, node)
+    target["zz"] = 1.0
+    with pytest.raises(ConfigError) as exc:
+        parse_config(data, "stem")
+    assert str(exc.value) == f"unknown key 'zz' in {where}"
+
+
+def test_unknown_keys_of_mixed_types_are_refused():
+    # sorting 1 with 'zz' raised TypeError
+    data = minimal_ic1()
+    data.update({1: 2.0, "zz": 1.0})
+    with pytest.raises(ConfigError) as exc:
+        parse_config(data, "stem")
+    assert str(exc.value) == "unknown key 1 in config"
+
+
+@pytest.mark.parametrize("mode, path, where, node, key", [
+    case[:4] + (key,) for case in KEYED_NODES for key in case[4]
+])
+def test_missing_key_is_named_with_its_section(mode, path, where, node, key):
+    data, target = keyed_config(mode, path, node)
+    del target[key]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(data, "stem")
+    assert str(exc.value) == f"missing key {key!r} in {where}"
 
 
 # --- file loading -------------------------------------------------------------

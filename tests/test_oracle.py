@@ -119,7 +119,8 @@ def test_nan_amplitudes_fail_the_norm_check():
     # the steps overflow to NaN amplitudes; max() used to drop the NaN
     # drift and return them with norm_drift == 0.0
     params = ModelParams.from_derived(omega_plus=Sinusoid(1e150, 3.0))
-    cfg = IntegratorConfig(step=suggest_step(params, 1.0))
+    # the drive period / 200
+    cfg = IntegratorConfig(step=0.010471975511965976)
     with pytest.raises(NormDriftError, match="nan"):
         integrate_full(params, [1.0, 0.0, 0.0, 0.0], 1.0, cfg)
 
@@ -127,6 +128,21 @@ def test_nan_amplitudes_fail_the_norm_check():
 def test_suggest_step_values():
     assert suggest_step(DRIVEN, 10.0) == pytest.approx((2 * math.pi / 50.0) / 200.0)
     assert suggest_step(STATIC, 10.0) == pytest.approx(10.0 / 2000.0)
+
+
+def test_suggest_step_is_capped_by_the_norm_bound():
+    # subspace I's field and coupling are both 20, so the bound is hypot(20, 20)
+    strong = ModelParams.from_derived(omega_plus=Constant(20.0), lambda_m=Constant(20.0))
+    assert suggest_step(strong, 100.0) == 0.5 / math.hypot(20.0, 20.0)
+    # no drive at all, or a bound past the float range: t_end / 2000 stands
+    zero = ModelParams.from_derived()
+    assert suggest_step(zero, 100.0) == 100.0 / 2000.0
+    # t_end / 2000 underflows to 0, which IntegratorConfig refuses
+    assert suggest_step(zero, 1e-321) == 1e-321
+    big = Constant(1.7e308)
+    huge = ModelParams(lambda_x=big, lambda_y=Constant(-1.7e308), lambda_z=Constant(0.0),
+                       omega_1=big, omega_2=big)
+    assert suggest_step(huge, 100.0) == 100.0 / 2000.0
 
 
 def test_integrator_config_validation():
@@ -328,7 +344,8 @@ def test_rk4_error_falls_16x_per_halved_step():
 
 def test_magnus_refuses_a_step_too_long_for_the_drives():
     params = ModelParams.from_derived(omega_plus=Sinusoid(1e150, 3.0))
-    cfg = IntegratorConfig(step=suggest_step(params, 1.0))
+    # the drive period / 200
+    cfg = IntegratorConfig(step=0.010471975511965976)
     with pytest.raises(ConfigError, match="norm bound"):
         magnus_full(params, [1.0, 0.0, 0.0, 0.0], 1.0, cfg)
     # the bound: hypot(3, 4) + 0.8/4 = 5.2, so a step of 1/5.2 is refused

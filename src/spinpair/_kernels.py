@@ -1,15 +1,13 @@
 """Propagation kernels: fixed-step RK4 (the oracle) and Magnus-4.
 
-:func:`rk4_clamped` is the one RK4 loop, a plain Python loop over
-complex scalars that steps any ``deriv(t, y1, y2)``: it is the check on
-the closed forms and on the Magnus kernel, so it is kept small and
-obvious rather than fast.  The Magnus kernel is numeric mode's
-production path and works on whole arrays of steps.
-
-RK4 reads drive coefficients as "two-term" tuples
-``(a1, b1, p1, a2, b2, p2, off)`` encoding
-``a1*sin(b1*t + p1) + a2*sin(b2*t + p2) + off``, which represents every
-derived drive combination exactly.
+Both take a block, its two starting amplitudes, the event times and
+the steps per event segment, and return the block's states at every
+event.  :func:`rk4_clamped` steps any ``deriv(t, y1, y2)`` in a plain
+Python loop: it is the check on the closed forms and on the Magnus
+kernel, so it is kept small and obvious rather than fast.
+:func:`magnus_block_profiles`, numeric mode's path, works on whole
+arrays of steps.  RK4 reads a drive as a sum of sines ``(terms,
+offset)`` from :meth:`spinpair.model.ModelParams.block_terms`.
 """
 
 from __future__ import annotations
@@ -28,46 +26,45 @@ _GAUSS = math.sqrt(3.0) / 6.0
 _CHUNK = 1 << 12
 
 
-def _two_term(c, base, t):
-    v = c[base + 6]
-    a1 = c[base]
-    if a1 != 0.0:
-        v += a1 * math.sin(c[base + 1] * t + c[base + 2])
-    a2 = c[base + 3]
-    if a2 != 0.0:
-        v += a2 * math.sin(c[base + 4] * t + c[base + 5])
+def _sines(terms, offset, t):
+    v = offset
+    for a, b, p in terms:
+        v += a * math.sin(b * t + p)
     return v
 
 
-def rk4_clamped(deriv, y1, y2, t0, t1, n):
-    """Advance a 2-amplitude state from t0 to t1 in n RK4 steps of ``deriv``.
+def rk4_clamped(deriv, y1, y2, events, counts):
+    """States of a 2-amplitude block at every event time, by RK4 steps of ``deriv``.
 
-    ``deriv(t, y1, y2)`` returns the two derivatives.  Stage times are
-    clamped 1e-9 inside [t0, t1] (a quarter of the segment when it is
-    shorter than 4e-9), so a right-hand side that jumps at a segment end
-    is only asked for its one-sided limit from the segment interior.
+    ``deriv(t, y1, y2)`` returns the two derivatives; ``events``,
+    ``counts`` and the result are as for :func:`magnus_block_profiles`.
+    Stage times are clamped 1e-9 inside each segment (a quarter of a
+    segment shorter than 4e-9), so a right-hand side that jumps at a
+    segment end is only asked for its one-sided limit from inside.
     """
-    h = (t1 - t0) / n
-    nudge = 1e-9
-    if (t1 - t0) < 4.0 * nudge:
-        nudge = 0.25 * (t1 - t0)
-    lo = t0 + nudge
-    hi = t1 - nudge
-    hh = 0.5 * h
-    for i in range(n):
-        t = t0 + i * h
-        ts = lo if t < lo else (hi if t > hi else t)
-        k1a, k1b = deriv(ts, y1, y2)
-        tm = t + hh
-        tm = lo if tm < lo else (hi if tm > hi else tm)
-        k2a, k2b = deriv(tm, y1 + hh * k1a, y2 + hh * k1b)
-        k3a, k3b = deriv(tm, y1 + hh * k2a, y2 + hh * k2b)
-        te = t + h
-        te = lo if te < lo else (hi if te > hi else te)
-        k4a, k4b = deriv(te, y1 + h * k3a, y2 + h * k3b)
-        y1 = y1 + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        y2 = y2 + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-    return y1, y2
+    out1, out2 = [y1], [y2]
+    for t0, t1, n in zip(events[:-1].tolist(), events[1:].tolist(), counts.tolist()):
+        h = (t1 - t0) / n
+        nudge = min(1e-9, 0.25 * (t1 - t0))
+        lo = t0 + nudge
+        hi = t1 - nudge
+        hh = 0.5 * h
+        for i in range(n):
+            t = t0 + i * h
+            ts = lo if t < lo else (hi if t > hi else t)
+            k1a, k1b = deriv(ts, y1, y2)
+            tm = t + hh
+            tm = lo if tm < lo else (hi if tm > hi else tm)
+            k2a, k2b = deriv(tm, y1 + hh * k1a, y2 + hh * k1b)
+            k3a, k3b = deriv(tm, y1 + hh * k2a, y2 + hh * k2b)
+            te = t + h
+            te = lo if te < lo else (hi if te > hi else te)
+            k4a, k4b = deriv(te, y1 + h * k3a, y2 + h * k3b)
+            y1 = y1 + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+            y2 = y2 + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        out1.append(y1)
+        out2.append(y2)
+    return np.array(out1, dtype=complex), np.array(out2, dtype=complex)
 
 
 def _branch_exit(t):
@@ -144,7 +141,7 @@ def magnus_block_profiles(values, y1, y2, events, counts):
     times, as :meth:`spinpair.model.ModelParams.block_values` does.
     ``events`` is a float array and ``counts`` an integer array: the
     segment from events[k] to events[k + 1] is split into counts[k]
-    equal steps, as in the RK4 march.  Each step is the closed-form exponential of the
+    equal steps.  Each step is the closed-form exponential of the
     fourth-order Magnus generator from two Gauss points (Blanes, Casas,
     Oteo & Ros, Phys. Rep. 470, 151 (2009)),
     -i*(phi*I + ax*sigma_x + ay*sigma_y + az*sigma_z), where ay is the

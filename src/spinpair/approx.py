@@ -19,7 +19,7 @@ import numpy as np
 
 from . import drive as drive_mod
 from .drive import Constant, DriveProfile, Sinusoid
-from .errors import ResonancePoleError
+from .errors import ConfigError, ResonancePoleError
 from .exact import BlockAmplitudes
 
 __all__ = [
@@ -81,9 +81,18 @@ class RwaSetup:
             raise ValueError("drive frequency must be positive")
 
 
+def _check_phases(t: float | np.ndarray, *rates: float) -> None:
+    # exp(i*rate*t) is NaN once rate*t overflows
+    span = float(np.max(np.abs(t), initial=0.0))
+    if not all(math.isfinite(rate) and math.isfinite(rate * span) for rate in rates):
+        raise ConfigError(f"perturbative phase rates {rates} overflow for |t| up to {span:g}")
+
+
 def perturb_x1(omega_plus: float, t: float | np.ndarray) -> complex | np.ndarray:
-    """Leading-order surviving amplitude: ``exp(-i*omega_plus*t)``."""
-    return np.exp(-1j * omega_plus * np.asarray(t, dtype=float))
+    """Leading-order surviving amplitude ``exp(-i*omega_plus*t)``; ConfigError if it overflows."""
+    t = np.asarray(t, dtype=float)
+    _check_phases(t, omega_plus)
+    return np.exp(-1j * omega_plus * t)
 
 
 def perturb_x2(
@@ -106,6 +115,8 @@ def perturb_x2(
     ValueError
         If the drive carries a nonzero phase (the closed form assumes
         none).
+    ConfigError
+        If ``b +- 2w`` or a phase ``w*t``, ``(b +- 2w)*t`` overflows.
     """
     if drive.phase != 0.0:
         raise ValueError("the perturbative closed form requires zero drive phase")
@@ -113,12 +124,13 @@ def perturb_x2(
     beta = drive.frequency
     d_minus = beta - 2.0 * omega_plus
     d_plus = beta + 2.0 * omega_plus
+    t = np.asarray(t, dtype=float)
+    _check_phases(t, omega_plus, d_minus, d_plus)
     if abs(d_minus) < _RESONANCE_TOL or abs(d_plus) < _RESONANCE_TOL:
         raise ResonancePoleError(
             "perturbative amplitude evaluated at its pole (drive frequency "
             "within 1e-12 of twice the field)"
         )
-    t = np.asarray(t, dtype=float)
     bracket = (
         np.exp(1j * d_minus * t) / d_minus
         + np.exp(-1j * d_plus * t) / d_plus
@@ -137,8 +149,11 @@ def perturb_validity(omega_plus: float, drive: Sinusoid) -> float:
     ------
     ResonancePoleError
         At exact two-photon resonance (denominator below 1e-12).
+    ConfigError
+        If the denominator overflows.
     """
     d_minus = drive.frequency - 2.0 * omega_plus
+    _check_phases(0.0, d_minus)
     if abs(d_minus) < _RESONANCE_TOL:
         raise ResonancePoleError(
             "validity metric undefined at the two-photon resonance"

@@ -11,8 +11,8 @@ columns ``t``, the real/imaginary parts of the four uncoupled
 amplitudes, ``norm`` and ``concurrence``.  Sweep summaries carry one
 row per swept value with ``value``, ``peak_concurrence``,
 ``mean_concurrence``, ``oscillation_amplitude`` (max minus min) and
-``dominant_frequency`` (an angular estimate from mean crossings),
-sorted by value.
+``dominant_frequency`` (an angular estimate from mean crossings, 0 for
+a concurrence too flat for the CSV's digits to show), sorted by value.
 """
 
 from __future__ import annotations
@@ -76,6 +76,9 @@ SUMMARY_COLUMNS = (
 
 _PRESET_PACKAGE = "spinpair.presets"
 _ANALYTIC_NORM_TOL = 1e-9
+# %.12e keeps 13 significant digits, so no CSV shows a swing below 1e-12
+# of a series' size: the mean crossings of such a series are rounding noise
+_FLAT_SPAN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -262,9 +265,11 @@ def compute_trace(cfg: RunConfig) -> EvolutionTrace:
 
 
 def dominant_frequency(times: Sequence[float], values: Sequence[float]) -> float:
-    """Angular frequency estimate: pi * mean crossings / duration."""
+    """Angular frequency estimate: pi * mean crossings / duration; 0 if flat (``_FLAT_SPAN``)."""
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
+    if np.ptp(v) < _FLAT_SPAN * np.max(np.abs(v)):
+        return 0.0
     centered = v - np.mean(v)
     signs = np.signbit(centered)
     crossings = int(np.count_nonzero(signs[1:] != signs[:-1]))

@@ -146,32 +146,30 @@ def _block_combination(
     # ({frequency > 0: (sin part, cos part)}, offset): each term
     # a*sin(b*t + p) adds a*cos(p) to the sin(b*t) and a*sin(p) to the
     # cos(b*t) coefficient of |b|, after (a, b, p) -> (-a, -b, -p) for b < 0
-    terms = params.block_terms()
+    (field, field_offset), (coupling, coupling_offset), _z = params.block_terms()
     parts: dict[float, tuple[float, float]] = {}
-    offset = c_field * terms[6] + c_coupling * terms[13]
-    for coef, i in ((c_field, 0), (c_field, 3), (c_coupling, 7), (c_coupling, 10)):
-        amp, freq, ph = coef * terms[i], terms[i + 1], terms[i + 2]
-        if amp == 0.0:
-            continue
-        if freq == 0.0:
-            offset += amp * math.sin(ph)
-            continue
-        if freq < 0.0:
-            amp, freq, ph = -amp, -freq, -ph
-        s, c = parts.get(freq, (0.0, 0.0))
-        parts[freq] = (s + amp * math.cos(ph), c + amp * math.sin(ph))
+    offset = c_field * field_offset + c_coupling * coupling_offset
+    for coef, terms in ((c_field, field), (c_coupling, coupling)):
+        for amp, freq, ph in terms:
+            amp *= coef
+            if amp == 0.0:
+                continue
+            if freq < 0.0:
+                amp, freq, ph = -amp, -freq, -ph
+            s, c = parts.get(freq, (0.0, 0.0))
+            parts[freq] = (s + amp * math.cos(ph), c + amp * math.sin(ph))
     return parts, offset
 
 
 def _require_proportional(setup: IC1Setup, params: ModelParams) -> None:
     # cos(2*theta10)*coupling - sin(2*theta10)*field must vanish for all t;
     # its sup is bounded by the summed term amplitudes plus the offset,
-    # scaled by the larger summed amplitude of the field and the coupling
+    # scaled by the larger bound of the field and the coupling
     theta0 = setup.theta10
     parts, offset = _block_combination(params, -math.sin(2.0 * theta0), math.cos(2.0 * theta0))
     resid = sum(math.hypot(s, c) for s, c in parts.values()) + abs(offset)
-    terms = params.block_terms()
-    scale = max(1.0, *(abs(terms[i]) + abs(terms[i + 3]) + abs(terms[i + 6]) for i in (0, 7)))
+    field, coupling, _z = params.block_bounds()
+    scale = max(1.0, field, coupling)
     if not resid <= _PROPORTIONALITY_TOL * scale:
         raise NotIntegrableError(
             f"coupling is not proportional to its field (scaled residual {resid / scale:.3e})"
@@ -567,7 +565,8 @@ def ic2_kernel_coeffs(setup: IC2Setup) -> tuple[float, ...]:
     """Coefficient vector driving the rate-matched numeric kernel.
 
     Layout: ``(mu, beta, phi, kappa, cos(2*theta10), 1 - cos(2*theta10))``
-    followed by the two-term diagonal drive.
+    followed by the diagonal drive's ``(amplitude, frequency, phase,
+    offset)`` from :func:`spinpair.drive.single_term`: 10 floats.
     Feed to :func:`spinpair.oracle.integrate_block_ic2` together with
     :func:`ic2_breakpoints`.
 
@@ -581,5 +580,4 @@ def ic2_kernel_coeffs(setup: IC2Setup) -> tuple[float, ...]:
         raise ConfigError("the rate-matched coupling must be a pure sinusoid")
     mu, beta, phi = sinus
     c0 = math.cos(2.0 * setup.theta10)
-    amp, freq, phase, offset = drive.single_term(setup.lambda_z)
-    return (mu, beta, phi, setup.kappa, c0, 1.0 - c0, amp, freq, phase, 0.0, 0.0, 0.0, offset)
+    return (mu, beta, phi, setup.kappa, c0, 1.0 - c0, *drive.single_term(setup.lambda_z))

@@ -20,7 +20,9 @@ through that map.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +81,16 @@ def _combine(c1: float, p1: DriveProfile, c2: float, p2: DriveProfile) -> DriveP
     return Sinusoid(amp, freq, phase)
 
 
+# subspace I's block as (coefficient, primitive) pairs: field, coupling
+# and z.  The coefficients are powers of two, so each value is exactly
+# the rounded (pa +- pb)/2 or /4
+_BLOCK = (
+    ((0.5, "omega_1"), (0.5, "omega_2")),
+    ((0.25, "lambda_x"), (-0.25, "lambda_y")),
+    ((0.25, "lambda_z"),),
+)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Five primitive drive profiles defining the Hamiltonian."""
@@ -112,53 +124,50 @@ class ModelParams:
             omega_2=_combine(1.0, omega_plus, -1.0, omega_minus),
         )
 
-    # -- subspace I's block; the coefficients are powers of two, so each
-    # value is exactly the rounded (pa +- pb)/2 or /4 --
-
-    def _block(self, f, t):
-        return (
-            0.5 * f(self.omega_1, t) + 0.5 * f(self.omega_2, t),
-            0.25 * f(self.lambda_x, t) - 0.25 * f(self.lambda_y, t),
-            0.25 * f(self.lambda_z, t),
+    def _block(self, f):
+        # (field, coupling, z) of subspace I's block, each the in-order sum
+        # of f(coefficient, profile) over its _BLOCK pairs
+        return tuple(
+            functools.reduce(operator.add, (f(c, getattr(self, name)) for c, name in pairs))
+            for pairs in _BLOCK
         )
 
     def block_values(self, t: float | np.ndarray) -> tuple:
         """(field, coupling, z) of subspace I's block at t, a float or an array of times."""
-        return self._block(drive.evaluate, t)
+        return self._block(lambda c, profile: c * drive.evaluate(profile, t))
 
     def block_integrals(self, t: float | np.ndarray) -> tuple:
         """Exact integrals over [0, t] of :meth:`block_values`."""
-        return self._block(drive.integral, t)
+        return self._block(lambda c, profile: c * drive.integral(profile, t))
 
-    def block_terms(self) -> tuple[float, ...]:
-        """The subspace-I block as the 21 floats the RK4 and Magnus kernels step with.
+    def block_terms(self) -> tuple:
+        """(field, coupling, z) of subspace I's block as sums of sines.
 
-        Field, coupling and ``4*z`` as two-term drives
-        ``(a1, b1, p1, a2, b2, p2, off)``, each meaning
-        ``a1*sin(b1*t + p1) + a2*sin(b2*t + p2) + off``; exact for every
+        Each is ``(terms, offset)``, meaning ``offset`` plus the sum of
+        ``a*sin(b*t + p)`` over the nonzero ``(a, b, p)`` in ``terms``,
+        with the block coefficient already applied; exact for every
         parameter set.
         """
 
-        def pair(pa, ca, pb, cb):
-            a1, b1, p1, o1 = drive.single_term(pa)
-            a2, b2, p2, o2 = drive.single_term(pb)
-            return (ca * a1, b1, p1, cb * a2, b2, p2, ca * o1 + cb * o2)
+        def term(c, profile):
+            a, b, p, _o = drive.single_term(profile)
+            return ((c * a, b, p),) if c * a != 0.0 else ()
 
-        a, b, p, o = drive.single_term(self.lambda_z)
-        coupling = pair(self.lambda_x, 0.25, self.lambda_y, -0.25)
-        return pair(self.omega_1, 0.5, self.omega_2, 0.5) + coupling + (a, b, p, 0.0, 0.0, 0.0, o)
+        # the one-term tuples concatenate; the offsets add
+        offsets = self._block(lambda c, profile: c * drive.single_term(profile)[3])
+        return tuple(zip(self._block(term), offsets))
 
-    def is_static(self) -> bool:
-        return all(
-            drive.is_static(p)
-            for p in (self.lambda_x, self.lambda_y, self.lambda_z, self.omega_1, self.omega_2)
+    def block_bounds(self) -> tuple[float, float, float]:
+        """Bounds of sup|field|, sup|coupling| and sup|z|: summed |a| plus |offset|."""
+        return tuple(
+            sum(abs(a) for a, _b, _p in terms) + abs(offset) for terms, offset in self.block_terms()
         )
 
+    def is_static(self) -> bool:
+        return all(map(drive.is_static, vars(self).values()))
+
     def all_frequencies(self) -> list[float]:
-        out: list[float] = []
-        for p in (self.lambda_x, self.lambda_y, self.lambda_z, self.omega_1, self.omega_2):
-            out.extend(drive.frequencies(p))
-        return out
+        return [f for profile in vars(self).values() for f in drive.frequencies(profile)]
 
 
 def map_params_I_to_II(params: ModelParams) -> ModelParams:

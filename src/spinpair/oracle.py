@@ -1,13 +1,13 @@
 """Numerical propagation: fixed-step RK4 (the oracle) and Magnus-4.
 
 The RK4 integrators are the independent check against which the
-analytic propagators, and :func:`magnus_full`, are validated.  All
-three march with one loop, :func:`spinpair._kernels.rk4_clamped`,
-over one ``deriv(t, y1, y2)`` per 2-amplitude block.
-:func:`magnus_full` is numeric mode's production path.  Neither
-renormalizes the state: norm drift, the largest change of the squared
-norm over the samples, is the integration-quality diagnostic, and a
-drift beyond the configured tolerance raises :class:`NormDriftError`.
+analytic propagators, and :func:`magnus_full`, numeric mode's path,
+are validated.  All four run one march, which hands each 2-amplitude
+block to a kernel of :mod:`spinpair._kernels` and gets back its states
+at every event.  Neither kernel renormalizes the state: norm drift,
+the largest change of the squared norm over the samples, is the
+integration-quality diagnostic, and a drift beyond the configured
+tolerance raises :class:`NormDriftError`.
 
 Integration marches through the merged, sorted set of sample times and
 drive breakpoints, so every requested output time is hit exactly (no
@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import _kernels
-from ._kernels import _ic2_field, _two_term
+from ._kernels import _ic2_field, _sines
 from .errors import ConfigError, NormDriftError
 from .model import ModelParams, map_params_I_to_II
 
@@ -118,39 +118,11 @@ def _event_grid(
     return events, is_sample
 
 
-def _step_counts(events: np.ndarray, step: float) -> np.ndarray:
-    """Steps per event segment: each no longer than ``step``, at least one.
-
-    Raises
-    ------
-    ConfigError
-        If the segments need more than ``_MAX_STEPS`` steps in all.
-    """
-    counts = np.maximum(1.0, np.ceil(np.diff(events) / step))
-    total = float(np.sum(counts))
-    # written so that a NaN count fails too
-    if not total <= _MAX_STEPS:
-        raise ConfigError(
-            f"the march needs {total:.3e} steps, over the step budget of {_MAX_STEPS:.0e}; "
-            "raise the step or shorten the run"
-        )
-    return counts.astype(np.int64)
-
-
-def _check_drift(drift: float) -> None:
-    # written so that a NaN drift fails too
-    if not drift <= _NORM_TOL:
-        raise NormDriftError(
-            f"norm drift {drift:.3e} exceeds tolerance {_NORM_TOL:.3e}; "
-            "reduce the step"
-        )
-
-
 def _drift(samples: np.ndarray, initial: Sequence[complex]) -> float:
     """Largest |squared norm - initial squared norm| over the sampled states.
 
     A NaN sticks (``np.max`` keeps it) and a square past the float range
-    is inf, so a blown-up run always fails :func:`_check_drift`.
+    is inf, so a blown-up run always fails the drift check of :func:`_march`.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         norm0 = np.sum(np.abs(np.asarray(initial, dtype=complex)) ** 2)
@@ -158,17 +130,18 @@ def _drift(samples: np.ndarray, initial: Sequence[complex]) -> float:
 
 
 def _march(
-    derivs: Sequence[Callable],
+    advance: Callable,
+    blocks: Sequence,
     initial: Sequence[complex],
     t_end: float,
     cfg: IntegratorConfig,
     sample_times: Sequence[float] | None,
     breakpoints: Iterable[float] = (),
 ) -> Trace:
-    """RK4 march of one 2-amplitude block per ``deriv(t, y1, y2)`` in ``derivs``.
+    """States of every block at the sample times, each block stepped by ``advance``.
 
-    ``initial`` holds two amplitudes per block.  Each event segment
-    advances every block by :func:`spinpair._kernels.rk4_clamped`.
+    ``advance(block, y1, y2, events, counts)`` is a kernel of
+    :mod:`spinpair._kernels`; ``initial`` holds two amplitudes per block.
 
     Raises
     ------
@@ -178,29 +151,39 @@ def _march(
         If the squared norm drifts by more than 1e-6 (NaN included).
     """
     events, is_sample = _event_grid(t_end, sample_times, breakpoints)
-    counts = _step_counts(events, cfg.step)
+    # steps per event segment: each no longer than the step, at least one
+    counts = np.maximum(1.0, np.ceil(np.diff(events) / cfg.step))
+    total = float(np.sum(counts))
+    # written so that a NaN count fails too
+    if not total <= _MAX_STEPS:
+        raise ConfigError(
+            f"the march needs {total:.3e} steps, over the step budget of {_MAX_STEPS:.0e}; "
+            "raise the step or shorten the run"
+        )
+    counts = counts.astype(np.int64)
     y = [complex(v) for v in initial]
-    states = np.empty((events.size, len(y)), dtype=complex)
-    states[0] = y
-    for k in range(1, events.size):
-        a, b, n = float(events[k - 1]), float(events[k]), int(counts[k - 1])
-        for j, deriv in enumerate(derivs):
-            y[2 * j], y[2 * j + 1] = _kernels.rk4_clamped(deriv, y[2 * j], y[2 * j + 1], a, b, n)
-        states[k] = y
-    out = states[is_sample]
-    drift = _drift(out, states[0])
-    _check_drift(drift)
+    amps = np.empty((events.size, len(y)), dtype=complex)
+    for k, block in enumerate(blocks):
+        amps[:, 2 * k], amps[:, 2 * k + 1] = advance(block, y[2 * k], y[2 * k + 1], events, counts)
+    out = amps[is_sample]
+    drift = _drift(out, y)
+    # written so that a NaN drift fails too
+    if not drift <= _NORM_TOL:
+        raise NormDriftError(
+            f"norm drift {drift:.3e} exceeds tolerance {_NORM_TOL:.3e}; reduce the step"
+        )
     return Trace(events[is_sample], out, drift)
 
 
-def _block_deriv(c: Sequence[float]) -> Callable:
-    """Amplitude derivatives of a block from its 21 ``block_terms`` floats."""
+def _block_deriv(params: ModelParams) -> Callable:
+    """Amplitude derivatives of subspace I's block of ``params``."""
+    (wt, wo), (lt, lo), (zt, zo) = params.block_terms()
 
     def deriv(t, y1, y2):
-        w = _two_term(c, 0, t)
-        l = _two_term(c, 7, t)
-        z4 = 0.25 * _two_term(c, 14, t)
-        return -1j * ((w + z4) * y1 + l * y2), -1j * (l * y1 + (z4 - w) * y2)
+        w = _sines(wt, wo, t)
+        l = _sines(lt, lo, t)
+        z = _sines(zt, zo, t)
+        return -1j * ((w + z) * y1 + l * y2), -1j * (l * y1 + (z - w) * y2)
 
     return deriv
 
@@ -220,8 +203,8 @@ def integrate_full(
     exactly zero (no numerical leakage).  Norm drift is taken over all
     four amplitudes.
     """
-    blocks = (params.block_terms(), map_params_I_to_II(params).block_terms())
-    return _march([_block_deriv(c) for c in blocks], initial, t_end, cfg, sample_times)
+    blocks = [_block_deriv(params), _block_deriv(map_params_I_to_II(params))]
+    return _march(_kernels.rk4_clamped, blocks, initial, t_end, cfg, sample_times)
 
 
 def integrate_block_fn(
@@ -250,7 +233,7 @@ def integrate_block_fn(
         h11 = complex(h[1][1])
         return -1j * (h00 * y1 + h01 * y2), -1j * (h10 * y1 + h11 * y2)
 
-    return _march([deriv], initial, t_end, cfg, sample_times, breakpoints)
+    return _march(_kernels.rk4_clamped, [deriv], initial, t_end, cfg, sample_times, breakpoints)
 
 
 def integrate_block_ic2(
@@ -263,52 +246,54 @@ def integrate_block_ic2(
 ) -> Trace:
     """RK4 propagation of the block driven by the rate-matched derived field.
 
-    ``coeffs`` comes from :func:`spinpair.exact.ic2_kernel_coeffs`: 13
-    floats (mu, beta, phi, kappa, cos2theta0, 1-cos2theta0, then a
-    two-term lambda_z drive).  ``breakpoints`` comes from
-    :func:`spinpair.exact.ic2_breakpoints` (the derived field jumps
-    there, so segments must not straddle them).  Steps with
-    :func:`spinpair._kernels.rk4_clamped`, so one-sided limits at
-    branch-touch segment ends are taken from the segment interior.
+    ``coeffs`` comes from :func:`spinpair.exact.ic2_kernel_coeffs`: 10
+    floats (mu, beta, phi, kappa, cos2theta0, 1-cos2theta0, then
+    lambda_z as amplitude, frequency, phase and offset).
+    ``breakpoints`` comes from :func:`spinpair.exact.ic2_breakpoints`
+    (the derived field jumps there, so segments must not straddle
+    them).  Steps with :func:`spinpair._kernels.rk4_clamped`, so
+    one-sided limits at branch-touch segment ends are taken from the
+    segment interior.
 
     Raises
     ------
     ConfigError
-        If ``coeffs`` is not 13 finite floats with nonzero frequency
+        If ``coeffs`` is not 10 finite floats with nonzero frequency
         ``beta`` (entry 1) and rate (entry 3).
     BranchExitError
         If the angle reaches the branch edge inside a segment (an
         inadmissible setup).
     """
     coeffs = tuple(float(v) for v in coeffs)
-    if len(coeffs) != 13:
-        raise ConfigError(f"ic2 kernel coefficients must be 13 floats, got {len(coeffs)}")
-    if not all(map(math.isfinite, coeffs)) or coeffs[1] == 0.0 or coeffs[3] == 0.0:
-        raise ConfigError(
-            "ic2 kernel coefficients must be finite, with nonzero beta and rate"
-        )
-    mu, beta, phi, kappa, cos2t0, big_a = coeffs[:6]
+    if len(coeffs) != 10:
+        raise ConfigError(f"ic2 kernel coefficients must be 10 floats, got {len(coeffs)}")
+    if not all(map(math.isfinite, coeffs)):
+        raise ConfigError("ic2 kernel coefficients must be finite")
+    mu, beta, phi, kappa, cos2t0, big_a, amp, freq, phase, offset = coeffs
+    for name, value in (("beta", beta), ("rate", kappa)):
+        if value == 0.0:
+            raise ConfigError(f"ic2 kernel coefficient {name} must be nonzero")
+    z_terms = ((amp, freq, phase),) if amp != 0.0 else ()
 
     def deriv(t, y1, y2):
         w = _ic2_field(mu, beta, phi, kappa, cos2t0, big_a, t)
         l = mu * math.sin(beta * t + phi)
-        z4 = 0.25 * _two_term(coeffs, 6, t)
-        return -1j * ((w + z4) * y1 + l * y2), -1j * (l * y1 + (z4 - w) * y2)
+        z = 0.25 * _sines(z_terms, offset, t)
+        return -1j * ((w + z) * y1 + l * y2), -1j * (l * y1 + (z - w) * y2)
 
-    return _march([deriv], initial, t_end, cfg, sample_times, breakpoints)
+    return _march(_kernels.rk4_clamped, [deriv], initial, t_end, cfg, sample_times, breakpoints)
 
 
 def _norm_bound(params: ModelParams) -> float:
     """Bound of the spectral norm of either block over all t.
 
-    |z| + hypot(field, coupling) per block, with each two-term drive of
-    :meth:`ModelParams.block_terms` bounded by the sum of its amplitudes
-    and offset.
+    hypot(field, coupling) + |z| per block, each bounded by
+    :meth:`ModelParams.block_bounds`.
     """
     bounds = []
-    for c in (params.block_terms(), map_params_I_to_II(params).block_terms()):
-        field, coupling, diag = (sum(abs(c[base + k]) for k in (0, 3, 6)) for base in (0, 7, 14))
-        bounds.append(math.hypot(field, coupling) + 0.25 * diag)
+    for block in (params, map_params_I_to_II(params)):
+        field, coupling, z = block.block_bounds()
+        bounds.append(math.hypot(field, coupling) + z)
     # np.max, not max(): a NaN bound must stick
     return float(np.max(bounds))
 
@@ -322,8 +307,8 @@ def magnus_full(
 ) -> Trace:
     """Magnus-4 propagation of the full 4-amplitude state (uncoupled order).
 
-    Numeric mode's path; the same event grid, step counts and step
-    budget as :func:`integrate_full`, with each block stepped by
+    Numeric mode's path; the same march as :func:`integrate_full`,
+    with each block stepped by
     :func:`spinpair._kernels.magnus_block_profiles`.  Magnus steps stay
     unitary even where they mean nothing, so ``cfg.step`` times the
     norm bound of either block must be below 1 (the Magnus convergence
@@ -344,15 +329,5 @@ def magnus_full(
             f"step {cfg.step:.3e} times the Hamiltonian norm bound {bound:.3e} is not "
             f"below {_MAX_STEP_NORM:g}; reduce the step"
         )
-    events, is_sample = _event_grid(t_end, sample_times, ())
-    counts = _step_counts(events, cfg.step)
-    y = [complex(v) for v in initial]
-    amps = np.empty((events.size, 4), dtype=complex)
-    for k, block in enumerate((params, map_params_I_to_II(params))):
-        amps[:, 2 * k], amps[:, 2 * k + 1] = _kernels.magnus_block_profiles(
-            block.block_values, y[2 * k], y[2 * k + 1], events, counts
-        )
-    out = amps[is_sample]
-    drift = _drift(out, y)
-    _check_drift(drift)
-    return Trace(events[is_sample], out, drift)
+    blocks = [params.block_values, map_params_I_to_II(params).block_values]
+    return _march(_kernels.magnus_block_profiles, blocks, initial, t_end, cfg, sample_times)

@@ -16,7 +16,7 @@ from spinpair.approx import (
     rwa_orthogonal,
 )
 from spinpair.drive import Constant, Sinusoid
-from spinpair.errors import ResonancePoleError
+from spinpair.errors import ConfigError, ResonancePoleError
 from spinpair.oracle import IntegratorConfig, integrate_block_fn
 
 R2 = math.sqrt(0.5)
@@ -71,6 +71,21 @@ def test_perturb_validity():
     assert perturb_validity(5.0, Sinusoid(0.25, 10.5)) == pytest.approx(0.5)
     with pytest.raises(ResonancePoleError):
         perturb_validity(5.0, Sinusoid(0.25, 10.0))
+
+
+def test_perturbation_refuses_overflowing_phases():
+    # 2*omega_plus overflows: perturb_validity read the infinite
+    # denominator as a validity of 0, and perturb_x2 warned and gave NaN
+    drive_ = Sinusoid(0.25, 10.5)
+    with pytest.raises(ConfigError, match=r"phase rates \(-inf,\) overflow"):
+        perturb_validity(1e308, drive_)
+    with pytest.raises(ConfigError, match=r"phase rates \(1e\+308, -inf, inf\) overflow"):
+        perturb_x2(1e308, drive_, 1.0)
+    # 2*omega_plus is finite, but omega_plus*t overflows by t = 100
+    for call in (lambda t: perturb_x1(1e307, t), lambda t: perturb_x2(1e307, drive_, t)):
+        with pytest.raises(ConfigError, match=r"overflow for \|t\| up to 100$"):
+            call(np.array([0.0, 100.0]))
+        assert np.isfinite(call(np.array([0.0, 1.0]))).all()
 
 
 # --- rotating-wave approximation -------------------------------------------

@@ -337,6 +337,29 @@ def test_ic2_subspace_two_matches_rk4_of_its_own_block():
 def test_dominant_frequency_recovers_sinusoid_rate():
     t = np.linspace(0.0, 10.0, 2001)
     assert dominant_frequency(t, np.sin(7.0 * t)) == pytest.approx(7.0, rel=0.05)
+    # a constant with rounding jitter crosses its mean at every sample, but
+    # no 13-digit CSV can show it move: that is no frequency
+    jitter = np.where(np.arange(t.size) % 2, 1e-16, -1e-16)
+    assert dominant_frequency(t, 0.4472135955 + jitter) == 0.0
+
+
+def test_main_sweep_of_a_flat_concurrence_reports_no_frequency(tmp_path):
+    # phi1 is an eigenstate, so its concurrence is a constant 0.4472; this
+    # wrote dominant_frequency 56.2, 59.4 and 61.6 rad/s from rounding noise
+    path = write_yaml(tmp_path, "flat", ic1_data(
+        initial_state="phi1",
+        time={"t_end": 10.0, "samples": 401},
+        ic1={"k": 0.5, "omega_plus": {"kind": "sinusoid", "amplitude": 2.0, "frequency": 5.0}},
+        sweep={"parameter": "ic1.omega_plus.amplitude", "values": [1.0, 2.0, 3.0]},
+    ))
+    assert main(["sweep", str(path), "--output", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "flat_summary.csv").read_text(encoding="utf-8").splitlines()
+    rows = [dict(zip(SUMMARY_COLUMNS, map(float, ln.split(",")))) for ln in lines[-3:]]
+    assert [row["value"] for row in rows] == [1.0, 2.0, 3.0]
+    for row in rows:
+        assert row["peak_concurrence"] == pytest.approx(1.0 / math.sqrt(5.0), abs=1e-12)
+        assert row["oscillation_amplitude"] < 1e-12
+        assert row["dominant_frequency"] == 0.0
 
 
 def test_trace_stats_keys():
@@ -418,22 +441,35 @@ def test_main_run_and_errors(tmp_path, capsys):
     assert "unknown preset" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command,replace", [
-    ("run", ("t_end: 2.0", "t_end: .nan")),
-    ("run", ("t_end: 2.0", "t_end: .inf")),
-    ("run", ("k: 0.5", "k: .nan")),
-    ("sweep", ("- 1.0", "- .nan")),
-])
-def test_main_rejects_non_finite_yaml(tmp_path, capsys, command, replace):
-    data = ic1_data()
-    if command == "sweep":
-        data["sweep"] = {"parameter": "ic1.k", "values": [0.5, 1.0]}
+PERTURBATION_DATA = {
+    "mode": "perturbation",
+    "initial_state": "pp",
+    "time": {"t_end": 1.0, "samples": 11},
+    "perturbation": {
+        "omega_plus": 5.0,
+        "drive": {"kind": "sinusoid", "amplitude": 0.25, "frequency": 10.5},
+    },
+}
+
+
+@pytest.mark.parametrize("command,data,replace,message", [
+    ("run", ic1_data(), ("t_end: 2.0", "t_end: .nan"), "must be finite"),
+    ("run", ic1_data(), ("t_end: 2.0", "t_end: .inf"), "must be finite"),
+    ("run", ic1_data(), ("k: 0.5", "k: .nan"), "must be finite"),
+    ("sweep", ic1_data(sweep={"parameter": "ic1.k", "values": [0.5, 1.0]}),
+     ("- 1.0", "- .nan"), "must be finite"),
+    # finite, but 2*omega_plus overflows: this warned, then wrote a CSV of
+    # nan with exit 0
+    ("run", PERTURBATION_DATA, ("omega_plus: 5.0", "omega_plus: 1.0e+308"),
+     "error: perturbative phase rates (1e+308, -inf, inf) overflow for |t| up to 1\n"),
+], ids=["run-replace0", "run-replace1", "run-replace2", "sweep-replace3", "perturbation-overflow"])
+def test_main_rejects_non_finite_yaml(tmp_path, capsys, command, data, replace, message):
     text = yaml.safe_dump(data)
     assert replace[0] in text
     path = tmp_path / "case.yaml"
     path.write_text(text.replace(replace[0], replace[1]), encoding="utf-8")
     assert main([command, str(path), "--output", str(tmp_path)]) == 2
-    assert "must be finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -172,18 +172,15 @@ BLOCK_ENTRIES = {
     "name", ["omega_plus", "omega_minus", "lambda_m", "lambda_p", "lambda_z"]
 )
 def test_derived_two_term_reconstructs_accessor(params, name):
-    # the kernel vector, evaluated, equals the block values; its third
-    # two-term drive is 4*z
+    # each (terms, offset) sum of sines of block_terms, evaluated, equals
+    # its block value: field, coupling and z alike, in either subspace
     for subspace, entry in BLOCK_ENTRIES[name]:
         block_params = subspace(params)
-        terms = block_params.block_terms()
-        a1, b1, p1, a2, b2, p2, off = terms[7 * entry : 7 * entry + 7]
-        scale = 0.25 if entry == 2 else 1.0
+        terms, offset = block_params.block_terms()[entry]
+        assert all(a != 0.0 for a, _b, _p in terms)
         for t in (0.0, 0.7, 2.3):
-            value = a1 * math.sin(b1 * t + p1) + a2 * math.sin(b2 * t + p2) + off
-            assert block_params.block_values(t)[entry] == pytest.approx(
-                scale * value, abs=1e-13
-            )
+            value = offset + sum(a * math.sin(b * t + p) for a, b, p in terms)
+            assert block_params.block_values(t)[entry] == pytest.approx(value, abs=1e-13)
 
 
 def test_all_frequencies_and_is_static():

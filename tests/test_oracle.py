@@ -212,18 +212,48 @@ def test_integrate_block_ic2_branch_exit_is_typed(theta10):
         integrate_block_ic2(coeffs, [1.0, 0.0], 0.5, cfg, sample_times=[0.0, 0.5])
 
 
-@pytest.mark.parametrize("coeffs", [
-    (4.0, 50.0, 0.0, 0.1, 1.0, 0.0),
-    (4.0, 0.0, 0.0, 0.1, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (4.0, 50.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (4.0, 50.0, 0.0, 0.1, 0.0, 1.0, math.nan, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-], ids=["short", "beta_zero", "kappa_zero", "nan_entry"])
-def test_integrate_block_ic2_checks_its_coeffs(coeffs):
+@pytest.mark.parametrize("coeffs, message", [
+    ((4.0, 50.0, 0.0, 0.1, 1.0, 0.0), "coefficients must be 10 floats, got 6"),
+    ((4.0, 50.0, 0.0, 0.1, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+     "coefficients must be 10 floats, got 13"),
+    ((4.0, 0.0, 0.0, 0.1, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0), "coefficient beta must be nonzero"),
+    ((4.0, 50.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0), "coefficient rate must be nonzero"),
+    ((4.0, 50.0, 0.0, 0.1, 0.0, 1.0, math.nan, 0.0, 0.0, 0.0), "coefficients must be finite"),
+], ids=["short", "old_layout", "beta_zero", "kappa_zero", "nan_entry"])
+def test_integrate_block_ic2_checks_its_coeffs(coeffs, message):
     # with kappa = 0 and the angle inside the branch the kernel used to
-    # run to the end without a complaint
+    # run to the end without a complaint; each input is refused for its
+    # own reason
     cfg = IntegratorConfig(step=1e-3)
-    with pytest.raises(ConfigError, match="ic2 kernel coefficients"):
+    with pytest.raises(ConfigError, match=f"^ic2 kernel {message}$"):
         integrate_block_ic2(coeffs, [1.0, 0.0], 0.5, cfg, sample_times=[0.0, 0.5])
+
+
+@pytest.mark.parametrize("kernel", ["rk4", "magnus"])
+def test_kernels_return_the_state_at_every_event(kernel):
+    # both kernels keep one contract: on a constant block they return the
+    # initial state first and then exp(-iHt) of it at every later event
+    field, coupling, z = 1.1, -0.6, 0.3
+    h = np.array([[field + z, coupling], [coupling, z - field]])
+    events = np.array([0.0, 0.4, 0.45, 1.3, 2.0])
+    counts = np.array([40, 5, 85, 70])
+    y1, y2 = 0.6, 0.8j
+    if kernel == "rk4":
+        a1, a2 = _kernels.rk4_clamped(
+            lambda t, a, b: tuple(-1j * (h @ [a, b])), y1, y2, events, counts
+        )
+        # 200 steps of h = 0.01 with |H| = 1.55: about 200 * (h*|H|)**5 / 120 = 1.5e-9
+        tol = 1e-8
+    else:
+        a1, a2 = _kernels.magnus_block_profiles(
+            lambda t: tuple(np.full_like(t, v) for v in (field, coupling, z)),
+            y1, y2, events, counts,
+        )
+        tol = 1e-13  # exact on a constant block, up to rounding
+    assert a1.shape == a2.shape == events.shape
+    assert (a1[0], a2[0]) == (y1, y2)
+    for t, got in zip(events, np.column_stack((a1, a2))):
+        assert np.max(np.abs(got - expm_herm(h, t) @ [y1, y2])) < tol
 
 
 # --- Magnus-4 against the RK4 oracle ---------------------------------------
